@@ -6,7 +6,6 @@ from .model import (
     ClusterDataset,
     ClusterLayout,
     EstimateVector,
-    Observation,
     TestConfig,
     TestResult,
     validate_dataset,
@@ -14,7 +13,6 @@ from .model import (
 from .stats import (
     adjusted_statistic,
     comparison_of_means,
-    scaled_variance,
     two_sample_variance,
 )
 from .engine import (
@@ -68,7 +66,6 @@ __all__ = [
     "ExperimentSpec",
     "FitResult",
     "LinearDesign",
-    "Observation",
     "PooledFit",
     "ProbitDesign",
     "RejectionTable",
@@ -97,7 +94,6 @@ __all__ = [
     "randomized_threshold",
     "run_experiment",
     "run_placebo_test",
-    "scaled_variance",
     "subsample_assignments",
     "two_sample_variance",
     "validate_dataset",

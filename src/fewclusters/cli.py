@@ -64,8 +64,8 @@ def read_csv_dataset(path) -> ClusterDataset:
         covariate_cols = expected
         has_post = "post" in fields
 
-        rows_by_cluster: dict[str, list[dict]] = {}
-        treated_by_cluster: dict[str, bool] = {}
+        # cluster id -> (treated, outcomes, covariate rows, post flags)
+        columns: dict[str, tuple[bool, list, list, list]] = {}
         for row_num, row in enumerate(reader, start=2):
             try:
                 cid = row["cluster_id"].strip()
@@ -77,28 +77,24 @@ def read_csv_dataset(path) -> ClusterDataset:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
-            if cid in treated_by_cluster and treated_by_cluster[cid] != treated:
+            if cid not in columns:
+                columns[cid] = (treated, [], [], [])
+            flag, outcomes, covariates, posts = columns[cid]
+            if flag != treated:
                 raise DataError(
                     f"{path}: cluster {cid!r} has inconsistent treated flags"
                 )
-            treated_by_cluster[cid] = treated
-            rows_by_cluster.setdefault(cid, []).append(
-                {"outcome": outcome, "covariates": covs, "post": post}
-            )
-    if not rows_by_cluster:
+            outcomes.append(outcome)
+            covariates.append(covs)
+            posts.append(post)
+    if not columns:
         raise DataError(f"{path}: no data rows")
-    clusters = []
-    for cid, rows in rows_by_cluster.items():
-        clusters.append(
-            Cluster.from_arrays(
-                id=cid,
-                treated=treated_by_cluster[cid],
-                outcomes=[r["outcome"] for r in rows],
-                covariates=[r["covariates"] for r in rows] if rows[0]["covariates"] else None,
-                post=[r["post"] for r in rows] if has_post else None,
-            )
-        )
-    return validate_dataset(clusters)
+    return validate_dataset(
+        [
+            Cluster.from_arrays(cid, flag, y, x, post if has_post else None)
+            for cid, (flag, y, x, post) in columns.items()
+        ]
+    )
 
 
 _ESTIMATORS = {"ols": "ols_intercept", "did": "did_slope", "probit": "probit"}
@@ -189,7 +185,11 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = harness.run_experiment(spec, workers=args.threads)
+    try:
+        table = harness.run_experiment(spec, workers=args.threads)
+    except FewClustersError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
     csv_path = out_dir / "rejection_table.csv"
     svg_path = out_dir / f"rejection_{spec.sweep_param}.svg"
     harness.emit_csv(table, csv_path)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy import special
 
 from .model import (
     Assignment,
+    Cluster,
     ClusterDataset,
     EstimateVector,
     FewClustersError,
@@ -61,18 +62,23 @@ def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestRes
         stat = math.copysign(math.inf, numerator) if numerator != 0.0 else 0.0
     else:
         stat = numerator / s
-    df = min(x.layout.q1, x.layout.q0) - 1
+    return _student_t_decision(stat, min(x.layout.q1, x.layout.q0) - 1, alpha, side)
+
+
+def _student_t_decision(stat: float, df: int, alpha: float, side: str) -> TestResult:
+    """Critical value, p-value and decision for a statistic referred to t(df)."""
+    # stdtr(df, x) is the t(df) cdf and stdtrit(df, q) its inverse
     if side == "greater":
-        crit = float(student_t.ppf(1.0 - alpha, df))
-        p = float(student_t.sf(stat, df))
+        crit = float(special.stdtrit(df, 1.0 - alpha))
+        p = float(special.stdtr(df, -stat))
         reject = stat > crit
     elif side == "less":
-        crit = float(student_t.ppf(alpha, df))
-        p = float(student_t.cdf(stat, df))
+        crit = float(special.stdtrit(df, alpha))
+        p = float(special.stdtr(df, stat))
         reject = stat < crit
     else:
-        crit = float(student_t.ppf(1.0 - alpha / 2.0, df))
-        p = float(2.0 * student_t.sf(abs(stat), df))
+        crit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
+        p = float(2.0 * special.stdtr(df, -abs(stat)))
         reject = abs(stat) > crit
     return TestResult(
         statistic=stat,
@@ -168,20 +174,25 @@ def crs_sign_test(
     )
 
 
-def _pooled_design(dataset: ClusterDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pooled_design(
+    clusters: Sequence[Cluster],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack (intercept, treatment dummy, covariates), outcomes, cluster sizes."""
-    blocks = []
-    outcomes = []
-    sizes = []
-    for cluster in dataset.clusters:
-        m = cluster.size
-        d_col = np.full(m, 1.0 if cluster.treated else 0.0)
-        blocks.append(
-            np.column_stack([np.ones(m), d_col, cluster.covariate_matrix])
+    blocks = [
+        np.column_stack(
+            [
+                np.ones(c.size),
+                np.full(c.size, 1.0 if c.treated else 0.0),
+                c.covariate_matrix,
+            ]
         )
-        outcomes.append(cluster.outcomes)
-        sizes.append(m)
-    return np.vstack(blocks), np.concatenate(outcomes), np.asarray(sizes)
+        for c in clusters
+    ]
+    return (
+        np.vstack(blocks),
+        np.concatenate([c.outcomes for c in clusters]),
+        np.asarray([c.size for c in clusters]),
+    )
 
 
 def crve_dof_factor(n: int, d: int, q: int) -> float:
@@ -189,10 +200,10 @@ def crve_dof_factor(n: int, d: int, q: int) -> float:
     return (n - 1) * q / ((n - d) * (q - 1))
 
 
-def _fit_with_crve(
-    design: np.ndarray, y: np.ndarray, sizes: np.ndarray, coef_index: int
-) -> tuple[np.ndarray, float, float]:
-    """OLS coefficients plus the CRVE standard error of one coefficient."""
+def _crve_fit(
+    design: np.ndarray, y: np.ndarray, sizes: np.ndarray
+) -> tuple[PooledFit, np.ndarray]:
+    """Pooled OLS treatment coefficient with its CRVE t statistic, and (X'X)^-1."""
     n, d = design.shape
     q = sizes.shape[0]
     xtx = design.T @ design
@@ -207,49 +218,21 @@ def _fit_with_crve(
         score = design[bounds[k] : bounds[k + 1]].T @ resid[bounds[k] : bounds[k + 1]]
         meat += np.outer(score, score)
     cov = crve_dof_factor(n, d, q) * xtx_inv @ meat @ xtx_inv
-    se = math.sqrt(max(cov[coef_index, coef_index], 0.0))
-    return coef, se, float(coef[coef_index])
+    se = math.sqrt(max(cov[1, 1], 0.0))
+    beta = float(coef[1])
+    t_stat = beta / se if se > 0.0 else math.copysign(math.inf, beta) if beta else 0.0
+    fit = PooledFit(beta_hat=beta, se_crve=se, t_stat=t_stat, n=n, q=q, d=d)
+    return fit, xtx_inv
 
 
 def pooled_ols_crve(dataset: ClusterDataset) -> PooledFit:
     """Pooled OLS of outcome on (1, treatment, covariates) with CRVE."""
-    design, y, sizes = _pooled_design(dataset)
-    coef, se, beta = _fit_with_crve(design, y, sizes, coef_index=1)
-    t_stat = beta / se if se > 0.0 else math.copysign(math.inf, beta) if beta else 0.0
-    return PooledFit(
-        beta_hat=beta,
-        se_crve=se,
-        t_stat=t_stat,
-        n=design.shape[0],
-        q=sizes.shape[0],
-        d=design.shape[1],
-    )
+    return _crve_fit(*_pooled_design(dataset.clusters))[0]
 
 
 def bch_t_test(fit: PooledFit, alpha: float, side: str = "greater") -> TestResult:
     """Compare the pooled CRVE t statistic to a t(q-1) critical value."""
-    df = fit.q - 1
-    stat = fit.t_stat
-    if side == "greater":
-        crit = float(student_t.ppf(1.0 - alpha, df))
-        p = float(student_t.sf(stat, df))
-        reject = stat > crit
-    elif side == "less":
-        crit = float(student_t.ppf(alpha, df))
-        p = float(student_t.cdf(stat, df))
-        reject = stat < crit
-    else:
-        crit = float(student_t.ppf(1.0 - alpha / 2.0, df))
-        p = float(2.0 * student_t.sf(abs(stat), df))
-        reject = abs(stat) > crit
-    return TestResult(
-        statistic=stat,
-        critical_value=crit,
-        p_value=p,
-        reject=bool(reject),
-        n_assignments=0,
-        side=side,
-    )
+    return _student_t_decision(fit.t_stat, fit.q - 1, alpha, side)
 
 
 def webb_weights(rng: np.random.Generator, size) -> np.ndarray:
@@ -272,12 +255,13 @@ def wild_cluster_bootstrap_test(
     statistic. The p-value is the plain fraction of bootstrap statistics at
     least as extreme as the observed one.
     """
-    design, y, sizes = _pooled_design(dataset)
+    design, y, sizes = _pooled_design(dataset.clusters)
     n, d = design.shape
     q = sizes.shape[0]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
 
-    observed = pooled_ols_crve(dataset).t_stat
+    fit, xtx_inv = _crve_fit(design, y, sizes)
+    observed = fit.t_stat
 
     restricted = np.delete(design, 1, axis=1)
     coef_r, *_ = np.linalg.lstsq(restricted, y, rcond=None)
@@ -286,10 +270,6 @@ def wild_cluster_bootstrap_test(
     fitted_r = restricted @ coef_r
     resid_r = y - fitted_r
 
-    xtx = design.T @ design
-    if np.linalg.matrix_rank(xtx) < d:
-        raise RankDeficient("pooled design matrix is rank deficient")
-    xtx_inv = np.linalg.inv(xtx)
     # row vector extracting the treatment coefficient from X'y*
     g = design @ xtx_inv[:, 1]
 
@@ -333,11 +313,7 @@ def pair_beta_ols(
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
     betas = np.empty(len(pairs))
     for i, (ti, ui) in enumerate(pairs):
-        pair = ClusterDataset(
-            clusters=(dataset.clusters[ti], dataset.clusters[ui]),
-            layout=type(dataset.layout)(q1=1, q0=1),
-        )
-        design, y, _ = _pooled_design(pair)
+        design, y, _ = _pooled_design((dataset.clusters[ti], dataset.clusters[ui]))
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         betas[i] = coef[1]
     return betas
@@ -351,11 +327,7 @@ def pair_beta_probit(
 
     betas = np.empty(len(pairs))
     for i, (ti, ui) in enumerate(pairs):
-        pair = ClusterDataset(
-            clusters=(dataset.clusters[ti], dataset.clusters[ui]),
-            layout=type(dataset.layout)(q1=1, q0=1),
-        )
-        design, y, _ = _pooled_design(pair)
+        design, y, _ = _pooled_design((dataset.clusters[ti], dataset.clusters[ui]))
         y01 = (y > 0).astype(float)
         coef, _ = _probit_newton(design, y01)
         betas[i] = coef[1]

@@ -165,9 +165,7 @@ def gen_did_panel(
             + fe
             + noise_scale * rng.standard_normal(periods)
         )
-        clusters.append(
-            Cluster.from_arrays(f"c{k:02d}", treated, y, post=post.astype(bool))
-        )
+        clusters.append(Cluster.from_arrays(f"c{k:02d}", treated, y, post=post))
     return ClusterDataset(
         clusters=tuple(clusters), layout=ClusterLayout(q1=q1, q0=q0)
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import (
     Cluster,
@@ -82,7 +82,7 @@ def did_slope(cluster: Cluster) -> FitResult:
 
 def probit_moment(design: np.ndarray, y01: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Sample moment: mean of design-row times (success indicator minus link)."""
-    resid = y01 - norm.cdf(design @ beta)
+    resid = y01 - ndtr(design @ beta)
     return design.T @ resid / design.shape[0]
 
 
@@ -90,7 +90,8 @@ def probit_moment_jacobian(
     design: np.ndarray, y01: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """Exact derivative of the moment with respect to the parameters."""
-    dens = norm.pdf(design @ beta)
+    z = design @ beta
+    dens = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)  # standard normal density
     return -(design.T * dens) @ design / design.shape[0]
 
 

@@ -1,15 +1,17 @@
 """Shared domain types: clustered data, layouts, assignments, configs, results.
 
-All types are immutable after construction. Clusters are kept in a canonical
-treated-first order, established once by :func:`validate_dataset`; every
-downstream index computation relies on that ordering.
+All types are immutable after construction. A :class:`Cluster` holds its data
+as columns, read-only numpy arrays of outcomes, covariates and optional
+post-period flags, whose shapes are checked once when it is built; every
+estimator and comparator reads those arrays directly. Clusters are kept in a
+canonical treated-first order, established once by :func:`validate_dataset`;
+every downstream index computation relies on that ordering.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -92,32 +94,61 @@ class EstimationError(FewClustersError):
         self.cluster_id = cluster_id
         self.cause = cause
 
-
-@dataclass(frozen=True)
-class Observation:
-    """One row of data: an outcome, optional covariates, optional post flag."""
-
-    outcome: float
-    covariates: tuple[float, ...] = ()
-    period_post: Optional[bool] = None
+    def __reduce__(self):
+        # args holds only the message, so rebuild from the constructor's own
+        # arguments; worker processes send the error back pickled
+        return type(self), (self.cluster_id, self.cause)
 
 
-@dataclass(frozen=True)
+def _read_only(values, error: type, message: str) -> np.ndarray:
+    """A C-ordered float64 copy of ``values`` that cannot be written to."""
+    try:
+        array = np.array(values, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        raise error(f"{message}: {exc}") from None
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class Cluster:
-    """A block of observations sharing one cluster-level treatment flag."""
+    """A block of observations sharing one cluster-level treatment flag.
+
+    The data are read-only float arrays: ``outcomes`` (m,), ``covariate_matrix``
+    (m, d) with d >= 0, and ``post`` (m,) of 0/1 post-period indicators, or
+    None when the data have no periods. Shapes are checked here, once; a bad
+    shape raises a :class:`DataError` naming the cluster.
+    """
 
     id: str
     treated: bool
-    observations: tuple[Observation, ...]
+    outcomes: np.ndarray
+    covariate_matrix: Optional[np.ndarray] = None
+    post: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if len(self.observations) == 0:
-            raise EmptyCluster(f"cluster {self.id!r} has no observations")
-        dims = {len(o.covariates) for o in self.observations}
-        if len(dims) > 1:
-            raise RaggedCovariates(
-                f"cluster {self.id!r} mixes covariate dimensions {sorted(dims)}"
-            )
+        name = f"cluster {self.id!r}"
+        y = _read_only(self.outcomes, DataError, f"{name}: bad outcomes")
+        if y.ndim != 1:
+            raise DataError(f"{name}: outcomes of shape {y.shape} are not a vector")
+        m = y.shape[0]
+        if m == 0:
+            raise EmptyCluster(f"{name} has no observations")
+        x = np.empty((m, 0)) if self.covariate_matrix is None else self.covariate_matrix
+        x = _read_only(x, RaggedCovariates, f"{name}: covariates are not a matrix")
+        if x.ndim == 1 and x.shape[0] == m:
+            x = x.reshape(m, 1)
+        if x.ndim != 2 or x.shape[0] != m:
+            raise DataError(f"{name}: covariates of shape {x.shape} for {m} outcomes")
+        object.__setattr__(self, "outcomes", y)
+        object.__setattr__(self, "covariate_matrix", x)
+        if self.post is not None:
+            post = _read_only(self.post, DataError, f"{name}: bad post flags")
+            if post.shape != (m,):
+                raise DataError(f"{name}: post flags of shape {post.shape}, need ({m},)")
+            if np.any((post != 0.0) & (post != 1.0)):
+                raise DataError(f"{name}: post flags must be 0 or 1")
+            object.__setattr__(self, "post", post)
 
     @classmethod
     def from_arrays(
@@ -128,47 +159,22 @@ class Cluster:
         covariates: Optional[np.ndarray] = None,
         post: Optional[Iterable[bool]] = None,
     ) -> "Cluster":
-        outcomes = np.asarray(outcomes, dtype=float)
-        m = outcomes.shape[0]
-        if covariates is None:
-            covariates = np.empty((m, 0))
-        else:
-            covariates = np.asarray(covariates, dtype=float).reshape(m, -1)
-        posts: Sequence[Optional[bool]]
-        posts = [None] * m if post is None else [bool(p) for p in post]
-        obs = tuple(
-            Observation(float(outcomes[i]), tuple(covariates[i]), posts[i])
-            for i in range(m)
-        )
-        return cls(id=id, treated=treated, observations=obs)
+        return cls(id, treated, outcomes, covariates, post)
 
     @property
     def size(self) -> int:
-        return len(self.observations)
+        return self.outcomes.shape[0]
 
     @property
     def covariate_dim(self) -> int:
-        return len(self.observations[0].covariates)
+        return self.covariate_matrix.shape[1]
 
-    @cached_property
-    def outcomes(self) -> np.ndarray:
-        return np.array([o.outcome for o in self.observations], dtype=float)
-
-    @cached_property
-    def covariate_matrix(self) -> np.ndarray:
-        return np.array(
-            [o.covariates for o in self.observations], dtype=float
-        ).reshape(self.size, self.covariate_dim)
-
-    @cached_property
+    @property
     def post_flags(self) -> np.ndarray:
-        """0/1 post-period indicators; raises if any observation lacks one."""
-        flags = [o.period_post for o in self.observations]
-        if any(f is None for f in flags):
-            raise MissingPeriodFlag(
-                f"cluster {self.id!r} has observations without a post indicator"
-            )
-        return np.array(flags, dtype=float)
+        """0/1 post-period indicators; raises if the cluster has none."""
+        if self.post is None:
+            raise MissingPeriodFlag(f"cluster {self.id!r} has no post indicator")
+        return self.post
 
 
 @dataclass(frozen=True)

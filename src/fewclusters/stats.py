@@ -72,12 +72,3 @@ def adjusted_statistic(x: EstimateVector, a: Assignment) -> float:
         )
     s_obs = two_sample_variance(x, Assignment.identity(x.layout))
     return comparison_of_means(x, a) * math.sqrt(s_obs / s_pi)
-
-
-def scaled_variance(x: EstimateVector, a: Assignment) -> float:
-    """Two-sample variance under the theory-level normalization q1*q0/q.
-
-    Diagnostic only; the test itself never uses this scaling.
-    """
-    layout = x.layout
-    return layout.q1 * layout.q0 / layout.q * two_sample_variance(x, a)

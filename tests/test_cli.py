@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fewclusters
 from fewclusters.cli import (
     EXIT_DATA_ERROR,
     EXIT_INAPPLICABLE,
@@ -13,6 +18,16 @@ from fewclusters.cli import (
 )
 from fewclusters.harness import spec_from_dict
 from fewclusters.model import DataError
+
+
+def run_cli_process(*args):
+    """Run ``python -m fewclusters`` (or python -c) in a fresh interpreter."""
+    src = str(Path(fewclusters.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 def write_csv(path, n_clusters=6, rows_per_cluster=4, effect=0.0):
@@ -214,6 +229,24 @@ class TestSimulateCommand:
         )
         assert code == EXIT_DATA_ERROR
 
+    def test_estimation_failure_exit_code(self, tmp_path):
+        # replication data at beta = 1.5 separate the probit fit of cluster c02
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "design": {"kind": "probit", "q1": 3, "q0": 3},
+            "sweep": {"param": "beta", "values": [1.5]},
+            "methods": ["placebo"],
+            "replications": 20,
+            "master_seed": 201,
+        }))
+        proc = run_cli_process(
+            "-m", "fewclusters", "simulate",
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == EXIT_DATA_ERROR
+        assert "'c02'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_threads_flag(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(self.CONFIG))
@@ -222,6 +255,14 @@ class TestSimulateCommand:
             ["simulate", "--config", str(config), "--out", str(out), "--threads", "2"]
         )
         assert code == EXIT_OK
+
+
+def test_cli_import_skips_scipy_stats():
+    proc = run_cli_process(
+        "-c", "import sys, fewclusters.cli; print('scipy.stats' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestBundledConfigs:

@@ -18,7 +18,7 @@ from fewclusters.harness import (
     _check_applicability,
     _replication_streams,
 )
-from fewclusters.model import MethodInapplicable
+from fewclusters.model import EstimationError, MethodInapplicable
 
 FAST_DESIGN = LinearDesign(q1=3, q0=3, h=0, eta=(), size_range=(5, 6))
 
@@ -109,6 +109,20 @@ class TestRunExperiment:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=3)
         assert serial == parallel
+
+    def test_estimation_error_same_across_workers(self):
+        # a separated probit cluster at beta = 1.5 fails replication 0 or later
+        spec = ExperimentSpec(
+            ProbitDesign(q1=3, q0=3), "beta", (1.5,), ("placebo",),
+            replications=20, master_seed=201,
+        )
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(EstimationError) as info:
+                run_experiment(spec, workers=workers)
+            errors.append((info.value.cluster_id, str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "c02"
 
     def test_power_increases_with_beta(self):
         spec = fast_spec(

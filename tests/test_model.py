@@ -1,5 +1,7 @@
 """Tests for the shared domain types and dataset validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,14 @@ from fewclusters.model import (
     Assignment,
     Cluster,
     ClusterLayout,
+    DataError,
     EmptyCluster,
     EstimateVector,
+    EstimationError,
     FewClustersError,
     NoTreatedClusters,
     NoUntreatedClusters,
     RaggedCovariates,
-    Observation,
     TestConfig,
     validate_dataset,
 )
@@ -70,12 +73,37 @@ class TestValidateDataset:
 class TestCluster:
     def test_empty_cluster(self):
         with pytest.raises(EmptyCluster):
-            Cluster(id="x", treated=True, observations=())
+            Cluster.from_arrays("x", True, [])
 
     def test_ragged_within_cluster(self):
-        obs = (Observation(1.0, (1.0,)), Observation(2.0, (1.0, 2.0)))
         with pytest.raises(RaggedCovariates):
-            Cluster(id="x", treated=True, observations=obs)
+            Cluster.from_arrays("x", True, [1.0, 2.0], covariates=[[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "outcomes, covariates, post",
+        [
+            # six covariate values would fold into a garbled (3, 2) matrix
+            ([1.0, 2.0, 3.0], np.arange(6.0).reshape(2, 3), None),
+            ([1.0, 2.0], None, [True]),
+            ([1.0, 2.0], None, [True, False, True]),
+            ([1.0, 2.0], [[1.0, 2.0], [3.0]], None),
+            ([[1.0, 2.0], [3.0, 4.0]], None, None),
+        ],
+        ids=["covariate-rows", "short-post", "long-post", "ragged-rows", "2d-outcomes"],
+    )
+    def test_bad_shapes_name_the_cluster(self, outcomes, covariates, post):
+        with pytest.raises(DataError, match="'bad'"):
+            Cluster.from_arrays("bad", True, outcomes, covariates, post)
+
+    def test_arrays_read_only(self):
+        y = np.array([1.0, 2.0])
+        c = Cluster.from_arrays("x", True, y, post=[0, 1])
+        for array in (c.outcomes, c.covariate_matrix, c.post_flags):
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        y[0] = 9.0  # the cluster keeps its own copy
+        assert c.outcomes[0] == 1.0
+        assert c.covariate_matrix.shape == (2, 0)
 
     def test_array_accessors(self):
         c = Cluster.from_arrays(
@@ -84,6 +112,17 @@ class TestCluster:
         np.testing.assert_array_equal(c.outcomes, [1.0, 2.0])
         np.testing.assert_array_equal(c.covariate_matrix, [[3.0], [4.0]])
         np.testing.assert_array_equal(c.post_flags, [0.0, 1.0])
+
+
+class TestEstimationError:
+    def test_pickle_round_trip(self):
+        err = EstimationError("c02", RaggedCovariates("cause"))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is EstimationError
+        assert back.cluster_id == "c02"
+        assert type(back.cause) is RaggedCovariates
+        assert str(back.cause) == "cause"
+        assert str(back) == str(err)
 
 
 class TestEstimateVector:

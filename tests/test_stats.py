@@ -17,7 +17,6 @@ from fewclusters.model import (
 from fewclusters.stats import (
     adjusted_statistic,
     comparison_of_means,
-    scaled_variance,
     two_sample_variance,
 )
 
@@ -42,10 +41,6 @@ class TestHandValues:
         # treated deviations (+-1): SS_t = 2, untreated likewise SS_u = 2
         # 2/(2*1) + 2/(2*1) = 2
         assert two_sample_variance(self.X, self.IDENTITY) == 2.0
-
-    def test_scaled_variance_identity(self):
-        # q1*q0/q * S^2 = (2*2/4) * 2 = 2
-        assert scaled_variance(self.X, self.IDENTITY) == 2.0
 
     def test_adjusted_statistic_offdiagonal(self):
         # treated set {1, 3}: means (1+0)/2 - (3+2)/2 = -2,
