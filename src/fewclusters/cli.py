@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -155,15 +156,21 @@ def cmd_test(args) -> int:
     report = {
         "method": args.method,
         "estimator": args.estimator,
-        "statistic": result.statistic,
-        "critical_value": result.critical_value,
-        "p_value": result.p_value,
+        "statistic": _json_number(result.statistic),
+        "critical_value": _json_number(result.critical_value),
+        "p_value": _json_number(result.p_value),
         "reject": result.reject,
         "n_assignments": result.n_assignments,
         "warnings": list(result.warnings),
     }
-    print(json.dumps(report))
+    print(json.dumps(report, allow_nan=False))
     return EXIT_OK
+
+
+def _json_number(value: float):
+    """The value, or None (JSON null) when it is infinite or nan, which
+    strict JSON cannot write; degenerate splits give infinite statistics."""
+    return value if math.isfinite(value) else None
 
 
 def cmd_simulate(args) -> int:

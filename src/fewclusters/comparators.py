@@ -8,7 +8,6 @@ the wild cluster bootstrap with 6-point weights and the null imposed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -121,8 +120,9 @@ def pair_clusters(
 
 def _sign_flip_statistics(beta_hats: np.ndarray) -> np.ndarray:
     """The matched-pair statistic under every sign vector, identity first."""
-    q1 = beta_hats.shape[0]
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=q1)))
+    # bit row r set where sign vector r keeps a sign: all +1 first, the last
+    # pair flipping fastest
+    signs = np.where(engine.bit_rows(beta_hats.shape[0]), 1.0, -1.0)
     flipped = signs * beta_hats
     means = flipped.mean(axis=1)
     denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
@@ -225,9 +225,31 @@ def _crve_fit(
     return fit, xtx_inv
 
 
+@dataclass(frozen=True)
+class PooledRegression:
+    """The pooled design, outcomes and cluster sizes with their CRVE fit.
+
+    Built once per dataset by :func:`pooled_regression` and shared by the
+    t(q-1) test and the wild cluster bootstrap.
+    """
+
+    design: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
+    fit: PooledFit
+    xtx_inv: np.ndarray
+
+
+def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
+    """Pooled OLS of outcome on (1, treatment, covariates) with its CRVE fit."""
+    design, y, sizes = _pooled_design(dataset.clusters)
+    fit, xtx_inv = _crve_fit(design, y, sizes)
+    return PooledRegression(design, y, sizes, fit, xtx_inv)
+
+
 def pooled_ols_crve(dataset: ClusterDataset) -> PooledFit:
     """Pooled OLS of outcome on (1, treatment, covariates) with CRVE."""
-    return _crve_fit(*_pooled_design(dataset.clusters))[0]
+    return pooled_regression(dataset).fit
 
 
 def bch_t_test(fit: PooledFit, alpha: float, side: str = "greater") -> TestResult:
@@ -249,19 +271,38 @@ def wild_cluster_bootstrap_test(
 ) -> TestResult:
     """Wild cluster bootstrap of the pooled CRVE t statistic, null imposed.
 
+    See :func:`wild_bootstrap_pooled`, which this runs on the dataset's
+    pooled regression.
+    """
+    return wild_bootstrap_pooled(
+        pooled_regression(dataset), alpha, side, b_reps=b_reps, seed=seed
+    )
+
+
+def wild_bootstrap_pooled(
+    regression: PooledRegression,
+    alpha: float,
+    side: str = "greater",
+    b_reps: int = 199,
+    seed: Optional[int] = None,
+) -> TestResult:
+    """Wild cluster bootstrap of a pooled regression's CRVE t statistic.
+
     The restricted fit drops the treatment dummy. Each bootstrap draw scales
     every cluster's restricted residuals by one 6-point weight, rebuilds the
     outcomes, refits the unrestricted regression, and recomputes the t
     statistic. The p-value is the plain fraction of bootstrap statistics at
-    least as extreme as the observed one.
+    least as extreme as the observed one. The critical value is the matching
+    quantile of the bootstrap statistics: the 1 - alpha quantile of t* for
+    "greater", the alpha quantile of t* for "less", and the 1 - alpha
+    quantile of |t*| for a two-sided test.
     """
-    design, y, sizes = _pooled_design(dataset.clusters)
+    design, y, sizes = regression.design, regression.y, regression.sizes
+    xtx_inv = regression.xtx_inv
     n, d = design.shape
     q = sizes.shape[0]
     bounds = np.concatenate([[0], np.cumsum(sizes)])
-
-    fit, xtx_inv = _crve_fit(design, y, sizes)
-    observed = fit.t_stat
+    observed = regression.fit.t_stat
 
     restricted = np.delete(design, 1, axis=1)
     coef_r, *_ = np.linalg.lstsq(restricted, y, rcond=None)
@@ -292,11 +333,13 @@ def wild_cluster_bootstrap_test(
 
     if side == "greater":
         p = float(np.count_nonzero(t_star >= observed)) / b_reps
+        crit = float(np.quantile(t_star, 1.0 - alpha))
     elif side == "less":
         p = float(np.count_nonzero(t_star <= observed)) / b_reps
+        crit = float(np.quantile(t_star, alpha))
     else:
         p = float(np.count_nonzero(np.abs(t_star) >= abs(observed))) / b_reps
-    crit = float(np.quantile(t_star, 1.0 - alpha))
+        crit = float(np.quantile(np.abs(t_star), 1.0 - alpha))
     return TestResult(
         statistic=observed,
         critical_value=crit,

@@ -8,10 +8,11 @@ equivalent, and it also caps the p-value below at 1/N.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,22 +29,35 @@ from .model import (
 
 ENUMERATION_CAP = 10_000_000
 
+# Full enumeration streams its mask rows in chunks of this many rows, so the
+# masks take O(CHUNK_ROWS * q) memory however many assignments there are.
+CHUNK_ROWS = 1 << 16
+
+# Width of the cached table of suffix rows: all 2**12 rows of 12 bits, split
+# by the number of ones (at most C(12, 6) = 924 rows each).
+TABLE_BITS = 12
+
 ZERO_POWER_WARNING = (
     "zero power: the placebo set is smaller than 1/alpha, so the observed "
     "statistic can never exceed the critical value"
 )
 
 
-def enumerate_assignments(
-    layout: ClusterLayout, cap: int = ENUMERATION_CAP
-) -> list[Assignment]:
-    """All C(q, q1) treated-index combinations, identity first, lexicographic."""
+def _check_cap(layout: ClusterLayout, cap: int) -> int:
     total = math.comb(layout.q, layout.q1)
     if total > cap:
         raise TooManyAssignments(
             f"C({layout.q}, {layout.q1}) = {total} exceeds the cap of {cap}; "
             "use subsampling (max_assignments) instead"
         )
+    return total
+
+
+def enumerate_assignments(
+    layout: ClusterLayout, cap: int = ENUMERATION_CAP
+) -> list[Assignment]:
+    """All C(q, q1) treated-index combinations, identity first, lexicographic."""
+    _check_cap(layout, cap)
     return [
         Assignment(combo)
         for combo in itertools.combinations(range(layout.q), layout.q1)
@@ -62,6 +76,96 @@ def subsample_assignments(
         picked = rng.choice(layout.q, size=layout.q1, replace=False)
         draws.append(Assignment(tuple(int(i) for i in picked)))
     return draws
+
+
+def bit_rows(n: int) -> np.ndarray:
+    """All 2**n rows of n bits as bools, column 0 the top bit, descending.
+
+    Row r holds the bits of the integer 2**n - 1 - r, so the all-ones row
+    comes first and the all-zeros row last.
+    """
+    # the narrowest integer type keeps the n-fold temporary small
+    dtype = np.min_scalar_type(2**n - 1)
+    bits = np.arange(2**n - 1, -1, -1, dtype=dtype)[:, None] >> np.arange(
+        n - 1, -1, -1, dtype=dtype
+    )
+    bits &= 1
+    return bits.astype(bool)
+
+
+@cache
+def _suffix_table() -> tuple[np.ndarray, ...]:
+    """Entry k: the rows of ``bit_rows(TABLE_BITS)`` with k ones, in order."""
+    rows = bit_rows(TABLE_BITS)
+    ones = rows.sum(axis=1)
+    table = tuple(rows[ones == k] for k in range(TABLE_BITS + 1))
+    for block in table:
+        block.flags.writeable = False
+    return table
+
+
+def _suffix_rows(t: int, k: int) -> np.ndarray:
+    """The rows of t <= TABLE_BITS bits with 0 <= k <= t ones, descending.
+
+    They are the rows of the table entry whose first TABLE_BITS - t bits are
+    zero, which are its last C(t, k) rows.
+    """
+    return _suffix_table()[k][-math.comb(t, k) :, TABLE_BITS - t :]
+
+
+def _enumerated_chunks(q: int, q1: int) -> Iterator[np.ndarray]:
+    """Mask rows of all C(q, q1) assignments in lexicographic order, chunked.
+
+    Lexicographic order of the treated sets is descending order of the rows
+    read as q-bit integers with cluster 0 the top bit, so the identity comes
+    first. The last t = min(q, TABLE_BITS) clusters take their bits from the
+    cached table. The first q - t clusters form a prefix; the prefixes with
+    j ones come from ``itertools.combinations`` in descending order and are
+    merged by value, and each contributes the suffix rows with q1 - j ones.
+    For q <= TABLE_BITS the one chunk is a read-only view of the table.
+    """
+    t = min(q, TABLE_BITS)
+    p = q - t
+    if p == 0:
+        yield _suffix_rows(t, q1)
+        return
+    runs = [
+        (
+            (sum(1 << (p - 1 - i) for i in combo), combo)
+            for combo in itertools.combinations(range(p), j)
+        )
+        for j in range(max(0, q1 - t), min(q1, p) + 1)
+    ]
+    chunk = np.empty((CHUNK_ROWS, q), dtype=bool)
+    filled = 0
+    for _, combo in heapq.merge(*runs, reverse=True):
+        prefix = np.zeros(p, dtype=bool)
+        prefix[list(combo)] = True
+        block = _suffix_rows(t, q1 - len(combo))
+        start = 0
+        while start < block.shape[0]:
+            take = min(block.shape[0] - start, CHUNK_ROWS - filled)
+            chunk[filled : filled + take, :p] = prefix
+            chunk[filled : filled + take, p:] = block[start : start + take]
+            filled += take
+            start += take
+            if filled == CHUNK_ROWS:
+                yield chunk
+                chunk = np.empty((CHUNK_ROWS, q), dtype=bool)
+                filled = 0
+    if filled:
+        yield chunk[:filled]
+
+
+def _subsampled_mask(layout: ClusterLayout, m: int, seed: int) -> np.ndarray:
+    """Mask rows of the identity plus m draws, from the stream that
+    ``subsample_assignments`` draws with the same seed."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((m + 1, layout.q), dtype=bool)
+    mask[0, : layout.q1] = True
+    for row in mask[1:]:
+        row[rng.choice(layout.q, size=layout.q1, replace=False)] = True
+    return mask
 
 
 def permutation_quantile(stats: Sequence[float], alpha: float) -> float:
@@ -99,21 +203,6 @@ def randomized_threshold(
     return c, delta
 
 
-@lru_cache(maxsize=64)
-def _enumerated_mask(q1: int, q0: int) -> np.ndarray:
-    layout = ClusterLayout(q1=q1, q0=q0)
-    mask = _mask_matrix(enumerate_assignments(layout), layout.q)
-    mask.setflags(write=False)
-    return mask
-
-
-def _mask_matrix(assignments: Sequence[Assignment], q: int) -> np.ndarray:
-    mask = np.zeros((len(assignments), q), dtype=bool)
-    for row, a in enumerate(assignments):
-        mask[row, list(a.treated_set)] = True
-    return mask
-
-
 def placebo_statistics(
     values: np.ndarray, mask: np.ndarray, q1: int, adjusted: bool
 ) -> np.ndarray:
@@ -124,31 +213,59 @@ def placebo_statistics(
     a signed infinity, or 0.0 when its comparison of means is also zero;
     this keeps quantiles and p-values well defined for degenerate inputs.
     """
+    return _chunked_statistics(values, (mask,), mask.shape[0], q1, adjusted)
+
+
+def _chunked_statistics(
+    values: np.ndarray,
+    chunks: Iterable[np.ndarray],
+    n: int,
+    q1: int,
+    adjusted: bool,
+) -> np.ndarray:
+    """``placebo_statistics`` over n mask rows that arrive in chunks.
+
+    Every step after the product of a chunk with the values is elementwise,
+    so a row's statistic does not depend on how the rows are chunked.
+    """
     v = np.asarray(values, dtype=float)
-    q = v.shape[0]
-    q0 = q - q1
-    fmask = mask.astype(float)
-    sum_t = fmask @ v
-    mean_diff = sum_t / q1 - (np.sum(v) - sum_t) / q0
-    if not adjusted:
-        return mean_diff
+    q0 = v.shape[0] - q1
+    total = v.sum()
+    if adjusted:
+        vv = v * v
+        total_sq = vv.sum()
+    stats = np.empty(n)
+    s2_identity = None
+    start = 0
+    for chunk in chunks:
+        fmask = chunk.astype(float)
+        sum_t = fmask @ v
+        sum_u = total - sum_t
+        out = stats[start : start + sum_t.shape[0]]
+        first = start == 0
+        start += sum_t.shape[0]
+        if not adjusted:
+            np.subtract(sum_t / q1, sum_u / q0, out=out)
+            continue
 
-    sumsq_t = fmask @ (v * v)
-    sumsq_u = np.sum(v * v) - sumsq_t
-    sum_u = np.sum(v) - sum_t
-    ss_t = np.maximum(sumsq_t - sum_t**2 / q1, 0.0)
-    ss_u = np.maximum(sumsq_u - sum_u**2 / q0, 0.0)
-    s2 = ss_t / (q1 * (q1 - 1)) + ss_u / (q0 * (q0 - 1))
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stats = mean_diff * np.sqrt(s2[0] / s2)
-    degenerate = s2 == 0.0
-    if np.any(degenerate):
-        with np.errstate(invalid="ignore"):
-            stats[degenerate] = np.sign(mean_diff[degenerate]) * np.inf
-        stats[degenerate & (mean_diff == 0.0)] = 0.0
-    # identity ratio is exactly one by construction
-    stats[0] = mean_diff[0]
+        mean_diff = sum_t / q1 - sum_u / q0
+        sumsq_t = fmask @ vv
+        sumsq_u = total_sq - sumsq_t
+        ss_t = np.maximum(sumsq_t - sum_t**2 / q1, 0.0)
+        ss_u = np.maximum(sumsq_u - sum_u**2 / q0, 0.0)
+        s2 = ss_t / (q1 * (q1 - 1)) + ss_u / (q0 * (q0 - 1))
+        if first:
+            s2_identity = s2[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[:] = mean_diff * np.sqrt(s2_identity / s2)
+        degenerate = s2 == 0.0
+        if np.any(degenerate):
+            with np.errstate(invalid="ignore"):
+                out[degenerate] = np.sign(mean_diff[degenerate]) * np.inf
+            out[degenerate & (mean_diff == 0.0)] = 0.0
+        if first:
+            # identity ratio is exactly one by construction
+            out[0] = mean_diff[0]
     return stats
 
 
@@ -163,13 +280,30 @@ def _one_sided_greater(
     return observed, c, delta, p, reject, zero_power
 
 
-def _assignment_mask(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
+def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
+    """The placebo statistic over every evaluated assignment, identity first.
+
+    All C(q, q1) assignments in lexicographic order, streamed in chunks; or,
+    when ``cfg.max_assignments`` is below that count, the identity plus that
+    many seeded draws. Raises TooManyAssignments before any work when full
+    enumeration would exceed ENUMERATION_CAP.
+    """
     layout = x.layout
+    adjusted = cfg.adjustment == "adjusted"
+    if adjusted and (layout.q1 < 2 or layout.q0 < 2):
+        raise GroupTooSmall(
+            "the adjusted placebo statistic needs at least two clusters per "
+            f"group, got ({layout.q1}, {layout.q0}); use adjustment='unadjusted'"
+        )
     total = math.comb(layout.q, layout.q1)
     if cfg.max_assignments is not None and total > cfg.max_assignments:
-        draws = subsample_assignments(layout, cfg.max_assignments, cfg.seed)
-        return _mask_matrix(draws, layout.q)
-    return _enumerated_mask(layout.q1, layout.q0)
+        mask = _subsampled_mask(layout, cfg.max_assignments, cfg.seed)
+        n = mask.shape[0]
+        chunks = (mask[i : i + CHUNK_ROWS] for i in range(0, n, CHUNK_ROWS))
+    else:
+        n = _check_cap(layout, ENUMERATION_CAP)
+        chunks = _enumerated_chunks(layout.q, layout.q1)
+    return _chunked_statistics(x.values, chunks, n, layout.q1, adjusted)
 
 
 def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
@@ -181,15 +315,7 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
     the smaller p-value (capped at 1). The tie-splitting probability of the
     randomized test is reported but never used for the decision.
     """
-    layout = x.layout
-    adjusted = cfg.adjustment == "adjusted"
-    if adjusted and (layout.q1 < 2 or layout.q0 < 2):
-        raise GroupTooSmall(
-            "the adjusted placebo statistic needs at least two clusters per "
-            f"group, got ({layout.q1}, {layout.q0}); use adjustment='unadjusted'"
-        )
-    mask = _assignment_mask(x, cfg)
-    stats = placebo_statistics(x.values, mask, layout.q1, adjusted)
+    stats = placebo_distribution(x, cfg)
     n = stats.shape[0]
     warnings: list[str] = []
 

@@ -154,6 +154,7 @@ def _run_methods(
     rejects: dict[str, bool] = {}
     estimates = None
     pair_betas = None
+    regression = None
 
     def cluster_estimates():
         nonlocal estimates
@@ -171,6 +172,13 @@ def _run_methods(
             else:
                 pair_betas = comparators.pair_beta_probit(dataset, pairs)
         return pair_betas
+
+    def pooled_regression():
+        # wild_bootstrap and bch_t share one pooled design and CRVE fit
+        nonlocal regression
+        if regression is None:
+            regression = comparators.pooled_regression(dataset)
+        return regression
 
     for method in spec.methods:
         if method == "placebo":
@@ -193,16 +201,17 @@ def _run_methods(
                 matched_pair_betas(), alpha, randomized=True, seed=streams["crs_u"]
             ).reject
         elif method == "wild_bootstrap":
-            rejects[method] = comparators.wild_cluster_bootstrap_test(
-                dataset,
+            rejects[method] = comparators.wild_bootstrap_pooled(
+                pooled_regression(),
                 alpha,
                 "greater",
                 b_reps=spec.bootstrap_reps,
                 seed=streams["bootstrap"],
             ).reject
         elif method == "bch_t":
-            fit = comparators.pooled_ols_crve(dataset)
-            rejects[method] = comparators.bch_t_test(fit, alpha, "greater").reject
+            rejects[method] = comparators.bch_t_test(
+                pooled_regression().fit, alpha, "greater"
+            ).reject
         elif method == "oracle":
             u = float(np.random.default_rng(streams["oracle"]).uniform())
             rejects[method] = u < alpha

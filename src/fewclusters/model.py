@@ -116,8 +116,9 @@ class Cluster:
 
     The data are read-only float arrays: ``outcomes`` (m,), ``covariate_matrix``
     (m, d) with d >= 0, and ``post`` (m,) of 0/1 post-period indicators, or
-    None when the data have no periods. Shapes are checked here, once; a bad
-    shape raises a :class:`DataError` naming the cluster.
+    None when the data have no periods. Shapes and values are checked here,
+    once; a bad shape or a nan or infinite value raises a :class:`DataError`
+    naming the cluster and the field.
     """
 
     id: str
@@ -134,12 +135,16 @@ class Cluster:
         m = y.shape[0]
         if m == 0:
             raise EmptyCluster(f"{name} has no observations")
+        if not np.all(np.isfinite(y)):
+            raise DataError(f"{name}: outcomes contain nan or inf")
         x = np.empty((m, 0)) if self.covariate_matrix is None else self.covariate_matrix
         x = _read_only(x, RaggedCovariates, f"{name}: covariates are not a matrix")
         if x.ndim == 1 and x.shape[0] == m:
             x = x.reshape(m, 1)
         if x.ndim != 2 or x.shape[0] != m:
             raise DataError(f"{name}: covariates of shape {x.shape} for {m} outcomes")
+        if not np.all(np.isfinite(x)):
+            raise DataError(f"{name}: covariates contain nan or inf")
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "covariate_matrix", x)
         if self.post is not None:

@@ -180,6 +180,35 @@ class TestTestCommand:
             assert code == EXIT_OK
             assert report["method"] == method
 
+    def test_non_finite_outcome_exit_code(self, tmp_path):
+        csv_path = write_csv(tmp_path / "d.csv")
+        lines = csv_path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"  # third row of cluster c0
+        csv_path.write_text("\n".join(lines) + "\n")
+        for method in ("placebo", "im", "crs", "wildboot", "bch"):
+            proc = run_cli_process(
+                "-m", "fewclusters", "test", "--input", str(csv_path), "--method", method
+            )
+            assert proc.returncode == EXIT_DATA_ERROR, (method, proc.stderr)
+            assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+            assert "'c0': outcomes contain nan or inf" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_infinite_statistic_written_as_null(self, tmp_path, capsys):
+        # every outcome equals its group's value: zero spread makes the t
+        # statistic infinite, which strict JSON writes as null
+        p = tmp_path / "d.csv"
+        rows = [f"c{k},{int(k < 3)},{float(k < 3)}" for k in range(6) for _ in range(4)]
+        p.write_text("\n".join(["cluster_id,treated,outcome", *rows]) + "\n")
+        assert main(["test", "--input", str(p), "--method", "im"]) == EXIT_OK
+
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["statistic"] is None
+        assert report["reject"] is True
+
 
 class TestSimulateCommand:
     CONFIG = {

@@ -1,5 +1,6 @@
 """Tests for the benchmark methods: t tests, sign test, CRVE, wild bootstrap."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from fewclusters.comparators import (
     im_t_test,
     pair_clusters,
     pooled_ols_crve,
+    pooled_regression,
     webb_weights,
+    wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
     _sign_flip_statistics,
 )
@@ -99,6 +102,16 @@ class TestCrsSignTest:
         values = _sign_flip_statistics(b)
         expected = b.mean() / math.sqrt(np.sum((b - b.mean()) ** 2))
         assert values[0] == pytest.approx(expected)
+
+    def test_sign_vectors_in_product_order(self):
+        # reference: the sign vectors of itertools.product, all +1 first
+        rng = np.random.default_rng(11)
+        for q1 in range(2, 9):
+            b = rng.normal(size=q1)
+            flipped = np.array(list(itertools.product((1.0, -1.0), repeat=q1))) * b
+            means = flipped.mean(axis=1)
+            denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
+            np.testing.assert_array_equal(_sign_flip_statistics(b), means / denom)
 
     def test_never_rejects_at_three_pairs(self):
         # 2^3 = 8 < 1/alpha at alpha = 0.05: nonrandomized version has no power
@@ -260,3 +273,31 @@ class TestWildBootstrap:
         ds = make_dataset(3, 3, seed=8)
         res = wild_cluster_bootstrap_test(ds, alpha=0.05, b_reps=100, seed=2)
         assert res.p_value * 100 == pytest.approx(round(res.p_value * 100))
+
+    def test_critical_value_per_side(self):
+        # the reported critical value is the quantile that matches each
+        # side's p-value, so a rejection always lies beyond it
+        sides = ("greater", "less", "two_sided")
+        rejected = set()
+        for seed in range(20):
+            ds = make_dataset(3, 3, seed=seed, beta=1.5 * (seed % 3 - 1))
+            res = {s: wild_cluster_bootstrap_test(ds, 0.1, s, seed=seed) for s in sides}
+            assert res["less"].critical_value < res["greater"].critical_value
+            assert res["two_sided"].critical_value > 0.0
+            rejected |= {s for s in sides if res[s].reject}
+            if res["greater"].reject:
+                assert res["greater"].statistic > res["greater"].critical_value
+            if res["less"].reject:
+                assert res["less"].statistic < res["less"].critical_value
+            if res["two_sided"].reject:
+                assert abs(res["two_sided"].statistic) > res["two_sided"].critical_value
+        assert rejected == set(sides)
+
+    def test_shared_pooled_regression(self):
+        ds = make_dataset(4, 4, seed=9, beta=0.5)
+        regression = pooled_regression(ds)
+        assert regression.fit == pooled_ols_crve(ds)
+        for side in ("greater", "less", "two_sided"):
+            assert wild_bootstrap_pooled(
+                regression, 0.05, side, seed=4
+            ) == wild_cluster_bootstrap_test(ds, 0.05, side, seed=4)

@@ -2,22 +2,25 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewclusters import engine
 from fewclusters.engine import (
     ZERO_POWER_WARNING,
+    bit_rows,
     enumerate_assignments,
     p_value,
     permutation_quantile,
+    placebo_distribution,
     placebo_statistics,
     randomized_threshold,
     run_placebo_test,
     subsample_assignments,
-    _mask_matrix,
 )
 from fewclusters.model import (
     Assignment,
@@ -33,6 +36,14 @@ from fewclusters.model import (
 def vec(values, q1):
     values = np.asarray(values, dtype=float)
     return EstimateVector(values, ClusterLayout(q1=q1, q0=values.size - q1))
+
+
+def reference_mask(assignments, q):
+    """One bool row per assignment, True on its treated indices."""
+    idx = np.array([a.treated_set for a in assignments], dtype=int)
+    mask = np.zeros((len(assignments), q), dtype=bool)
+    mask[np.arange(len(assignments))[:, None], idx] = True
+    return mask
 
 
 class TestEnumeration:
@@ -89,6 +100,93 @@ class TestSubsampling:
     def test_requires_positive_m(self):
         with pytest.raises(FewClustersError):
             subsample_assignments(ClusterLayout(3, 3), m=0, seed=0)
+
+
+class TestStreamedEnumeration:
+    @pytest.mark.parametrize("chunk_rows", [engine.CHUNK_ROWS, 7])
+    def test_rows_match_combinations(self, monkeypatch, chunk_rows):
+        # q = 13..16 put a prefix of one to four clusters before the table
+        monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
+        for q in range(2, 17):
+            for q1 in range(1, q):
+                layout = ClusterLayout(q1, q - q1)
+                chunks = [c.copy() for c in engine._enumerated_chunks(q, q1)]
+                assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
+                np.testing.assert_array_equal(
+                    np.concatenate(chunks),
+                    reference_mask(enumerate_assignments(layout), q),
+                )
+
+    def test_bit_rows_match_product(self):
+        for n in range(1, 9):
+            np.testing.assert_array_equal(
+                bit_rows(n), np.array(list(itertools.product((True, False), repeat=n)))
+            )
+
+    def test_statistics_bitwise_up_to_twelve_clusters(self):
+        rng = np.random.default_rng(31)
+        for q in range(2, 13):
+            for q1 in range(1, q):
+                layout = ClusterLayout(q1, q - q1)
+                mask = reference_mask(enumerate_assignments(layout), q)
+                x = vec(rng.normal(size=q), q1)
+                for adjusted in (True, False):
+                    if adjusted and min(q1, q - q1) < 2:
+                        continue
+                    cfg = TestConfig(
+                        adjustment="adjusted" if adjusted else "unadjusted"
+                    )
+                    np.testing.assert_array_equal(
+                        placebo_distribution(x, cfg),
+                        placebo_statistics(x.values, mask, q1, adjusted),
+                    )
+
+    def test_ten_ten_decision_matches_reference(self):
+        layout = ClusterLayout(10, 10)
+        mask = reference_mask(enumerate_assignments(layout), layout.q)
+        rng = np.random.default_rng(37)
+        x = vec(rng.normal(size=20) + np.r_[np.full(10, 0.4), np.zeros(10)], q1=10)
+        for adjustment in ("adjusted", "unadjusted"):
+            ref = placebo_statistics(x.values, mask, 10, adjustment == "adjusted")
+            res = run_placebo_test(x, TestConfig(adjustment=adjustment))
+            assert res.n_assignments == ref.shape[0] == 184_756
+            assert res.p_value == p_value(ref[0], ref)
+            assert res.reject == (ref[0] > permutation_quantile(ref, 0.05))
+
+    def test_cap_raised_before_any_rows(self):
+        # C(30, 15) = 155,117,520 rows would take 4.6 GB as a bool mask
+        x = vec(np.arange(30.0), q1=15)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyAssignments):
+                run_placebo_test(x, TestConfig(adjustment="unadjusted"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_memory_bounded_at_twelve_twelve(self):
+        # 2,704,156 assignments: the whole float mask alone would be 495 MiB
+        x = vec(np.random.default_rng(41).normal(size=24), q1=12)
+        tracemalloc.start()
+        try:
+            res = run_placebo_test(x, TestConfig(side="two_sided"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_assignments == 2_704_156
+        assert peak < 128 * 2**20
+
+    def test_subsampled_rows_match_draws(self):
+        layout = ClusterLayout(4, 5)
+        x = vec(np.random.default_rng(43).normal(size=9), q1=4)
+        mask = engine._subsampled_mask(layout, 60, seed=3)
+        ref = reference_mask(subsample_assignments(layout, 60, seed=3), layout.q)
+        np.testing.assert_array_equal(mask, ref)
+        cfg = TestConfig(max_assignments=60, seed=3)
+        np.testing.assert_array_equal(
+            placebo_distribution(x, cfg), placebo_statistics(x.values, ref, 4, True)
+        )
 
 
 class TestQuantile:
@@ -160,7 +258,7 @@ class TestRandomizedThreshold:
 class TestPlaceboStatistics:
     def test_unadjusted_hand_values(self):
         layout = ClusterLayout(2, 2)
-        mask = _mask_matrix(enumerate_assignments(layout), 4)
+        mask = reference_mask(enumerate_assignments(layout), 4)
         stats = placebo_statistics(np.array([3.0, 1.0, 2.0, 0.0]), mask, 2, False)
         np.testing.assert_allclose(stats, [1.0, 2.0, 0.0, 0.0, -2.0, -1.0])
 
@@ -170,7 +268,7 @@ class TestPlaceboStatistics:
         rng = np.random.default_rng(9)
         layout = ClusterLayout(3, 4)
         assignments = enumerate_assignments(layout)
-        mask = _mask_matrix(assignments, layout.q)
+        mask = reference_mask(assignments, layout.q)
         for _ in range(20):
             x = vec(rng.normal(size=7), q1=3)
             batch = placebo_statistics(x.values, mask, 3, True)
@@ -180,7 +278,7 @@ class TestPlaceboStatistics:
     def test_identity_row_bitwise(self):
         rng = np.random.default_rng(5)
         layout = ClusterLayout(3, 3)
-        mask = _mask_matrix(enumerate_assignments(layout), 6)
+        mask = reference_mask(enumerate_assignments(layout), 6)
         for _ in range(20):
             v = rng.normal(size=6)
             adj = placebo_statistics(v, mask, 3, True)
@@ -190,7 +288,7 @@ class TestPlaceboStatistics:
     def test_degenerate_split_signed_inf(self):
         # constant within both groups for some splits of (1, 1, 0, 0)
         layout = ClusterLayout(2, 2)
-        mask = _mask_matrix(enumerate_assignments(layout), 4)
+        mask = reference_mask(enumerate_assignments(layout), 4)
         stats = placebo_statistics(np.array([1.0, 1.0, 0.0, 0.0]), mask, 2, True)
         # identity: mean diff 1, variance ratio 1
         assert stats[0] == 1.0

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from fewclusters import comparators
 from fewclusters.dgp import LinearDesign, ProbitDesign
 from fewclusters.harness import (
     ConfigError,
@@ -145,6 +146,21 @@ class TestRunExperiment:
         )
         table = run_experiment(spec)
         assert table.rate("placebo", 0.0) == table.rate("placebo_unadjusted", 0.0)
+
+    def test_pooled_fit_shared_by_bootstrap_and_t_test(self, monkeypatch):
+        calls = []
+        build = comparators.pooled_regression
+
+        def counted(dataset):
+            calls.append(dataset)
+            return build(dataset)
+
+        both = fast_spec(methods=("wild_bootstrap", "bch_t"), replications=10)
+        alone = [fast_spec(methods=(m,), replications=10) for m in both.methods]
+        expected = [run_experiment(spec).rows[0] for spec in alone]
+        monkeypatch.setattr(comparators, "pooled_regression", counted)
+        assert list(run_experiment(both).rows) == expected
+        assert len(calls) == 10
 
 
 class TestEmitters:

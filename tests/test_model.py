@@ -95,6 +95,19 @@ class TestCluster:
         with pytest.raises(DataError, match="'bad'"):
             Cluster.from_arrays("bad", True, outcomes, covariates, post)
 
+    @pytest.mark.parametrize(
+        "outcomes, covariates, field",
+        [
+            ([1.0, np.nan], None, "outcomes"),
+            ([np.inf, 1.0], None, "outcomes"),
+            ([1.0, 2.0], [[0.0], [np.nan]], "covariates"),
+            ([1.0, 2.0], [[-np.inf, 1.0], [0.0, 1.0]], "covariates"),
+        ],
+    )
+    def test_non_finite_values_name_cluster_and_field(self, outcomes, covariates, field):
+        with pytest.raises(DataError, match=f"'bad': {field} contain nan or inf"):
+            Cluster.from_arrays("bad", True, outcomes, covariates)
+
     def test_arrays_read_only(self):
         y = np.array([1.0, 2.0])
         c = Cluster.from_arrays("x", True, y, post=[0, 1])
