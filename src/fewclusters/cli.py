@@ -18,15 +18,14 @@ import os
 import sys
 from pathlib import Path
 
-from . import comparators, engine, estimators, harness
+from . import harness
+from .methods import STREAMS, TABLE, Inputs, Setting
 from .model import (
     Cluster,
     ClusterDataset,
     DataError,
     FewClustersError,
     MethodInapplicable,
-    TestConfig,
-    TestResult,
     validate_dataset,
 )
 
@@ -100,59 +99,25 @@ def read_csv_dataset(path) -> ClusterDataset:
 
 _ESTIMATORS = {"ols": "ols_intercept", "did": "did_slope", "probit": "probit"}
 _SIDES = {"greater": "greater", "less": "less", "two": "two_sided"}
-
-
-def _run_test_method(args, dataset: ClusterDataset) -> TestResult:
-    estimator = _ESTIMATORS[args.estimator]
-    side = _SIDES[args.side]
-    if args.method == "placebo":
-        cfg = TestConfig(
-            alpha=args.alpha,
-            side=side,
-            adjustment="unadjusted" if args.unadjusted else "adjusted",
-            max_assignments=args.max_perms,
-            seed=args.seed,
-        )
-        x = estimators.estimate_all(dataset, estimator)
-        return engine.run_placebo_test(x, cfg)
-    if args.method == "im":
-        x = estimators.estimate_all(dataset, estimator)
-        return comparators.im_t_test(x, args.alpha, side)
-    if args.method == "crs":
-        if args.estimator == "did":
-            raise MethodInapplicable("crs supports the ols and probit estimators only")
-        pairs = comparators.pair_clusters(dataset, args.pairing, args.seed)
-        if args.estimator == "probit":
-            betas = comparators.pair_beta_probit(dataset, pairs)
-        else:
-            betas = comparators.pair_beta_ols(dataset, pairs)
-        return comparators.crs_sign_test(betas, args.alpha, seed=args.seed)
-    if args.method == "wildboot":
-        if args.estimator != "ols":
-            raise MethodInapplicable(
-                "the wild cluster bootstrap supports the ols estimator only"
-            )
-        return comparators.wild_cluster_bootstrap_test(
-            dataset, args.alpha, side, seed=args.seed
-        )
-    if args.method == "bch":
-        if args.estimator != "ols":
-            raise MethodInapplicable("the t(q-1) test supports the ols estimator only")
-        fit = comparators.pooled_ols_crve(dataset)
-        return comparators.bch_t_test(fit, args.alpha, side)
-    raise FewClustersError(f"unknown method {args.method!r}")
+_ALIASES = {"wildboot": "wild_bootstrap", "bch": "bch_t"}
 
 
 def cmd_test(args) -> int:
+    method = TABLE[_ALIASES.get(args.method, args.method)]
     try:
         dataset = read_csv_dataset(args.input)
-        result = _run_test_method(args, dataset)
-    except MethodInapplicable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
+        q1, q0 = dataset.layout.q1, dataset.layout.q0
+        adjustment = "unadjusted" if args.unadjusted else "adjusted"
+        setting = Setting(
+            _ESTIMATORS[args.estimator], q1, q0, _SIDES[args.side], adjustment
+        )
+        method.check(setting)  # before any estimation
+        seeds = dict.fromkeys(STREAMS, args.seed)
+        result = method.run(
+            Inputs(setting, dataset, args.alpha, seeds, args.pairing, args.max_perms)
+        )
     except (FewClustersError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+        return _error(exc)
     report = {
         "method": args.method,
         "estimator": args.estimator,
@@ -165,6 +130,11 @@ def cmd_test(args) -> int:
     }
     print(json.dumps(report, allow_nan=False))
     return EXIT_OK
+
+
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INAPPLICABLE if isinstance(exc, MethodInapplicable) else EXIT_DATA_ERROR
 
 
 def _json_number(value: float):
@@ -182,21 +152,11 @@ def cmd_simulate(args) -> int:
         return EXIT_DATA_ERROR
     try:
         spec = harness.spec_from_dict(raw)
-        harness._check_applicability(spec)
-    except MethodInapplicable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except FewClustersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         table = harness.run_experiment(spec, workers=args.threads)
-    except FewClustersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_ERROR
+    except (FewClustersError, OSError) as exc:
+        return _error(exc)
     csv_path = out_dir / "rejection_table.csv"
     svg_path = out_dir / f"rejection_{spec.sweep_param}.svg"
     harness.emit_csv(table, csv_path)
@@ -227,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--method",
         default="placebo",
-        choices=["placebo", "im", "crs", "wildboot", "bch"],
+        choices=[*TABLE, *_ALIASES],
+        help="wildboot and bch are aliases of wild_bootstrap and bch_t",
     )
     p_test.add_argument(
         "--estimator", default="ols", choices=["ols", "did", "probit"]

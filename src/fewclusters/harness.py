@@ -14,31 +14,16 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from . import comparators, engine, estimators
 from .dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
-from .model import (
-    ClusterDataset,
-    FewClustersError,
-    MethodInapplicable,
-    TestConfig,
-)
+from .methods import TABLE, Inputs, Setting
+from .model import FewClustersError
 
 log = logging.getLogger(__name__)
 
-METHODS = (
-    "placebo",
-    "placebo_unadjusted",
-    "im",
-    "crs",
-    "crs_randomized",
-    "wild_bootstrap",
-    "bch_t",
-    "oracle",
-)
 SWEEP_PARAMS = ("beta", "h", "q")
 
 Design = Union[LinearDesign, ProbitDesign]
@@ -73,15 +58,26 @@ class ExperimentSpec:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        unknown = [m for m in self.methods if m not in METHODS]
+        if self.bootstrap_reps < 1:
+            raise ConfigError(f"bootstrap_reps must be >= 1, got {self.bootstrap_reps}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        unknown = [m for m in self.methods if m not in TABLE]
         if unknown:
             raise ConfigError(f"methods contains unknown entries {unknown}")
         if len(self.methods) == 0:
             raise ConfigError("methods must be non-empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods contains duplicates: {list(self.methods)}")
         if self.crs_pairing not in ("random", "by_size"):
             raise ConfigError(
                 f"crs_pairing must be 'random' or 'by_size', got {self.crs_pairing!r}"
             )
+        # every sweep point's design and methods, before any replication runs
+        for value in self.sweep_values:
+            setting = _setting(_apply_sweep(self.design, self.sweep_param, value))
+            for method in self.methods:
+                TABLE[method].check(setting)
 
 
 @dataclass(frozen=True)
@@ -106,118 +102,39 @@ class RejectionTable:
 
 
 def _apply_sweep(design: Design, param: str, value: float) -> Design:
+    """The design at one sweep point; ConfigError if it cannot generate data."""
+    if param != "beta" and value != int(value):
+        raise ConfigError(f"sweep.values: a {param} sweep needs integers, got {value}")
     if param == "beta":
-        return dataclasses.replace(design, beta=float(value))
-    if param == "h":
-        return dataclasses.replace(design, h=int(value))
-    q = int(value)
-    if q % 2 != 0:
-        raise ConfigError(f"sweep.values: q sweep needs even totals, got {q}")
-    return dataclasses.replace(design, q1=q // 2, q0=q // 2)
+        design = dataclasses.replace(design, beta=float(value))
+    elif param == "h":
+        design = dataclasses.replace(design, h=int(value))
+    else:
+        q = int(value)
+        if q % 2 != 0 or q < 2:
+            raise ConfigError(f"sweep.values: q sweep needs even totals >= 2, got {q}")
+        design = dataclasses.replace(design, q1=q // 2, q0=q // 2)
+    lo, hi = design.size_range
+    if design.q1 < 1 or design.q0 < 1:
+        raise ConfigError(f"design.q1 and q0 must be >= 1, got {design.q1, design.q0}")
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"design.size_range: needs 1 <= lo <= hi, got ({lo}, {hi})")
+    if not 0 <= design.h < lo:
+        raise ConfigError(
+            f"design.h: must lie in [0, {lo - 1}] below the smallest cluster "
+            f"size {lo}, got {design.h}"
+        )
+    return design
 
 
-def _check_applicability(spec: ExperimentSpec) -> None:
-    is_linear = isinstance(spec.design, LinearDesign)
-    for value in spec.sweep_values:
-        design = _apply_sweep(spec.design, spec.sweep_param, value)
-        for method in spec.methods:
-            if method in ("crs", "crs_randomized") and design.q1 != design.q0:
-                raise MethodInapplicable(
-                    f"{method} requires q1 == q0, got ({design.q1}, {design.q0})"
-                )
-            if method in ("wild_bootstrap", "bch_t") and not is_linear:
-                raise MethodInapplicable(
-                    f"{method} applies to the linear design only"
-                )
-            if method in ("placebo",) and min(design.q1, design.q0) < 2:
-                if design.q1 != design.q0:
-                    raise MethodInapplicable(
-                        "adjusted placebo test needs at least two clusters per group"
-                    )
-
-
-def _generate(design: Design, seed) -> ClusterDataset:
-    if isinstance(design, LinearDesign):
-        return gen_linear(design, seed)
-    return gen_probit(design, seed)
-
-
-def _run_methods(
-    design: Design,
-    dataset: ClusterDataset,
-    spec: ExperimentSpec,
-    streams: dict[str, np.random.SeedSequence],
-) -> dict[str, bool]:
-    """Decide reject/accept for every requested method on one dataset."""
-    estimator = "ols_intercept" if isinstance(design, LinearDesign) else "probit"
-    alpha = spec.alpha
-    rejects: dict[str, bool] = {}
-    estimates = None
-    pair_betas = None
-    regression = None
-
-    def cluster_estimates():
-        nonlocal estimates
-        if estimates is None:
-            estimates = estimators.estimate_all(dataset, estimator)
-        return estimates
-
-    def matched_pair_betas():
-        nonlocal pair_betas
-        if pair_betas is None:
-            seed = streams["pairing"] if spec.crs_pairing == "random" else None
-            pairs = comparators.pair_clusters(dataset, spec.crs_pairing, seed)
-            if isinstance(design, LinearDesign):
-                pair_betas = comparators.pair_beta_ols(dataset, pairs)
-            else:
-                pair_betas = comparators.pair_beta_probit(dataset, pairs)
-        return pair_betas
-
-    def pooled_regression():
-        # wild_bootstrap and bch_t share one pooled design and CRVE fit
-        nonlocal regression
-        if regression is None:
-            regression = comparators.pooled_regression(dataset)
-        return regression
-
-    for method in spec.methods:
-        if method == "placebo":
-            adjustment = "unadjusted" if design.q1 == design.q0 else "adjusted"
-            cfg = TestConfig(alpha=alpha, side="greater", adjustment=adjustment)
-            rejects[method] = engine.run_placebo_test(cluster_estimates(), cfg).reject
-        elif method == "placebo_unadjusted":
-            cfg = TestConfig(alpha=alpha, side="greater", adjustment="unadjusted")
-            rejects[method] = engine.run_placebo_test(cluster_estimates(), cfg).reject
-        elif method == "im":
-            rejects[method] = comparators.im_t_test(
-                cluster_estimates(), alpha, "greater"
-            ).reject
-        elif method == "crs":
-            rejects[method] = comparators.crs_sign_test(
-                matched_pair_betas(), alpha, randomized=False
-            ).reject
-        elif method == "crs_randomized":
-            rejects[method] = comparators.crs_sign_test(
-                matched_pair_betas(), alpha, randomized=True, seed=streams["crs_u"]
-            ).reject
-        elif method == "wild_bootstrap":
-            rejects[method] = comparators.wild_bootstrap_pooled(
-                pooled_regression(),
-                alpha,
-                "greater",
-                b_reps=spec.bootstrap_reps,
-                seed=streams["bootstrap"],
-            ).reject
-        elif method == "bch_t":
-            rejects[method] = comparators.bch_t_test(
-                pooled_regression().fit, alpha, "greater"
-            ).reject
-        elif method == "oracle":
-            u = float(np.random.default_rng(streams["oracle"]).uniform())
-            rejects[method] = u < alpha
-        else:  # pragma: no cover - guarded by ExperimentSpec validation
-            raise ConfigError(f"unknown method {method!r}")
-    return rejects
+def _setting(design: Design) -> Setting:
+    """Every method tests "greater"; the placebo test is unadjusted iff q1 == q0."""
+    return Setting(
+        "ols_intercept" if isinstance(design, LinearDesign) else "probit",
+        design.q1,
+        design.q0,
+        adjustment="unadjusted" if design.q1 == design.q0 else "adjusted",
+    )
 
 
 def _replication_streams(
@@ -233,10 +150,12 @@ def _run_block(
 ) -> dict[str, int]:
     """Reject counts per method over a contiguous range of replications."""
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
+    setting = _setting(design)
+    generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
     counts = {m: 0 for m in spec.methods}
     for rep in range(rep_start, rep_stop):
         streams = _replication_streams(spec.master_seed, sweep_index, rep)
-        dataset = _generate(design, streams["data"])
+        dataset = generate(design, streams["data"])
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "sweep=%s rep=%d dataset_hash=%s",
@@ -244,8 +163,16 @@ def _run_block(
                 rep,
                 dataset.content_hash(),
             )
-        for method, reject in _run_methods(design, dataset, spec, streams).items():
-            counts[method] += int(reject)
+        inputs = Inputs(
+            setting,
+            dataset,
+            spec.alpha,
+            streams,
+            spec.crs_pairing,
+            bootstrap_reps=spec.bootstrap_reps,
+        )
+        for method in spec.methods:
+            counts[method] += int(TABLE[method].run(inputs).reject)
     return counts
 
 
@@ -256,7 +183,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RejectionTable:
     count: replication seeds depend only on (sweep index, replication
     index) and the reduction is an integer sum.
     """
-    _check_applicability(spec)
     rows: list[RejectionRow] = []
     for sweep_index, value in enumerate(spec.sweep_values):
         counts = {m: 0 for m in spec.methods}
@@ -388,10 +314,33 @@ def emit_svg(table: RejectionTable, path, alpha: Optional[float] = 0.05) -> None
         fh.write("\n".join(parts))
 
 
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{field}: must be a finite number, got {value!r}")
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: must be a list")
+    return value
+
+
 def spec_from_dict(raw: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a plain JSON-style dict.
 
-    Raises ConfigError naming the offending field path on any problem.
+    Raises ConfigError naming the offending field path on any problem, or
+    MethodInapplicable when a method does not apply at some sweep point.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -401,44 +350,35 @@ def spec_from_dict(raw: dict) -> ExperimentSpec:
     kind = design_raw.get("kind")
     if kind not in ("linear", "probit"):
         raise ConfigError(f"design.kind: must be 'linear' or 'probit', got {kind!r}")
-    cls = LinearDesign if kind == "linear" else ProbitDesign
     kwargs = {}
     for key in ("q1", "q0", "h"):
         if key in design_raw:
-            value = design_raw[key]
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"design.{key}: must be a non-negative integer")
-            kwargs[key] = value
+            kwargs[key] = _integer(design_raw[key], f"design.{key}")
     for key in ("beta", "theta0"):
         if key in design_raw:
-            kwargs[key] = float(design_raw[key])
+            kwargs[key] = _number(design_raw[key], f"design.{key}")
     if "eta" in design_raw:
-        kwargs["eta"] = tuple(float(v) for v in design_raw["eta"])
+        eta = _list(design_raw["eta"], "design.eta")
+        kwargs["eta"] = tuple(_number(v, "design.eta") for v in eta)
     if "size_range" in design_raw:
-        lo, hi = design_raw["size_range"]
-        kwargs["size_range"] = (int(lo), int(hi))
-    try:
-        design = cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+        sizes = _list(design_raw["size_range"], "design.size_range")
+        if len(sizes) != 2:
+            raise ConfigError("design.size_range: must be a list [lo, hi]")
+        kwargs["size_range"] = tuple(_integer(v, "design.size_range") for v in sizes)
+    design = (LinearDesign if kind == "linear" else ProbitDesign)(**kwargs)
 
     sweep = raw.get("sweep")
     if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
         raise ConfigError("sweep: must be an object with 'param' and 'values'")
-    methods = raw.get("methods")
-    if not isinstance(methods, list):
-        raise ConfigError("methods: must be a list")
-    replications = raw.get("replications", 2000)
-    if not isinstance(replications, int) or replications < 1:
-        raise ConfigError("replications: must be a positive integer")
+    values = _list(sweep["values"], "sweep.values")
     return ExperimentSpec(
         design=design,
         sweep_param=str(sweep["param"]),
-        sweep_values=tuple(float(v) for v in sweep["values"]),
-        methods=tuple(str(m) for m in methods),
-        replications=replications,
-        alpha=float(raw.get("alpha", 0.05)),
-        master_seed=int(raw.get("master_seed", 0)),
+        sweep_values=tuple(_number(v, "sweep.values") for v in values),
+        methods=tuple(str(m) for m in _list(raw.get("methods"), "methods")),
+        replications=_integer(raw.get("replications", 2000), "replications"),
+        alpha=_number(raw.get("alpha", 0.05), "alpha"),
+        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         crs_pairing=str(raw.get("crs_pairing", "random")),
-        bootstrap_reps=int(raw.get("bootstrap_reps", 199)),
+        bootstrap_reps=_integer(raw.get("bootstrap_reps", 199), "bootstrap_reps"),
     )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fewclusters
+from fewclusters import estimators
 from fewclusters.cli import (
     EXIT_DATA_ERROR,
     EXIT_INAPPLICABLE,
@@ -17,6 +18,7 @@ from fewclusters.cli import (
     read_csv_dataset,
 )
 from fewclusters.harness import spec_from_dict
+from fewclusters.methods import TABLE
 from fewclusters.model import DataError
 
 
@@ -30,11 +32,13 @@ def run_cli_process(*args):
     )
 
 
-def write_csv(path, n_clusters=6, rows_per_cluster=4, effect=0.0):
+def write_csv(path, n_clusters=6, rows_per_cluster=4, effect=0.0, n_treated=None):
+    if n_treated is None:
+        n_treated = n_clusters // 2
     lines = ["cluster_id,treated,outcome"]
     value = 0.0
     for k in range(n_clusters):
-        treated = 1 if k < n_clusters // 2 else 0
+        treated = 1 if k < n_treated else 0
         for i in range(rows_per_cluster):
             value += 0.7  # deterministic, strictly increasing outcomes
             y = value + (effect if treated else 0.0)
@@ -180,6 +184,58 @@ class TestTestCommand:
             assert code == EXIT_OK
             assert report["method"] == method
 
+    @pytest.mark.parametrize("method", list(TABLE))
+    def test_every_table_entry_runs(self, tmp_path, capsys, method):
+        csv_path = write_csv(tmp_path / "d.csv", n_clusters=12)
+        code, report = self.run(
+            capsys, "test", "--input", str(csv_path), "--method", method
+        )
+        assert code == EXIT_OK
+        assert report["method"] == method
+
+    @pytest.mark.parametrize("method", ["crs", "crs_randomized", "oracle"])
+    @pytest.mark.parametrize("side", ["less", "two"])
+    def test_greater_only_methods_refuse_other_sides(
+        self, tmp_path, capsys, method, side
+    ):
+        csv_path = write_csv(tmp_path / "d.csv")
+        argv = ["test", "--input", str(csv_path), "--method", method, "--side", side]
+        assert main(argv) == EXIT_INAPPLICABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert method in captured.err and "'greater' only" in captured.err
+
+    @pytest.mark.parametrize(
+        "method, n_clusters, treated, extra, message",
+        [
+            ("crs", 6, 2, [], "crs does not apply at (q1, q0) = (2, 4)"),
+            ("im", 4, 1, [], "im does not apply at (q1, q0) = (1, 3)"),
+            ("placebo", 4, 1, [], "placebo does not apply at (q1, q0) = (1, 3)"),
+            ("wildboot", 6, 3, ["--estimator", "probit"],
+             "wild_bootstrap does not apply at (q1, q0) = (3, 3)"),
+        ],
+    )
+    def test_inapplicable_before_any_work(
+        self, tmp_path, capsys, monkeypatch, method, n_clusters, treated, extra, message
+    ):
+        p = write_csv(tmp_path / "d.csv", n_clusters, n_treated=treated)
+
+        def refuse(*args):
+            raise AssertionError("estimated before the applicability check")
+
+        monkeypatch.setattr(estimators, "estimate_all", refuse)
+        argv = ["test", "--input", str(p), "--method", method, *extra]
+        assert main(argv) == EXIT_INAPPLICABLE
+        assert message in capsys.readouterr().err
+
+    def test_unadjusted_placebo_with_one_treated_cluster(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path / "d.csv", n_clusters=5, n_treated=1)
+        code, report = self.run(
+            capsys, "test", "--input", str(csv_path), "--unadjusted"
+        )
+        assert code == EXIT_OK
+        assert report["n_assignments"] == 5
+
     def test_non_finite_outcome_exit_code(self, tmp_path):
         csv_path = write_csv(tmp_path / "d.csv")
         lines = csv_path.read_text().splitlines()
@@ -251,6 +307,27 @@ class TestSimulateCommand:
         config.write_text(json.dumps(bad))
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path)])
         assert code == EXIT_INAPPLICABLE
+
+    def test_im_with_one_treated_cluster_refused_upfront(self, tmp_path, capsys):
+        bad = {
+            **self.CONFIG,
+            "design": {**self.CONFIG["design"], "q1": 1, "q0": 3},
+            "methods": ["placebo_unadjusted", "im"],
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INAPPLICABLE
+        assert "im does not apply at (q1, q0) = (1, 3)" in capsys.readouterr().err
+        assert not out.exists()  # refused before any replication ran
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIG))
+        code = main(["simulate", "--config", str(config), "--out", str(config)])
+        assert code == EXIT_DATA_ERROR
+        assert "config.json" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         code = main(

@@ -4,6 +4,8 @@ import logging
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewclusters import comparators
 from fewclusters.dgp import LinearDesign, ProbitDesign
@@ -16,10 +18,22 @@ from fewclusters.harness import (
     emit_svg,
     run_experiment,
     spec_from_dict,
-    _check_applicability,
     _replication_streams,
 )
-from fewclusters.model import EstimationError, MethodInapplicable
+from fewclusters.methods import TABLE
+from fewclusters.model import EstimationError, FewClustersError, MethodInapplicable
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+DESIGN_KEYS = ("kind", "q1", "q0", "h", "beta", "theta0", "eta", "size_range")
 
 FAST_DESIGN = LinearDesign(q1=3, q0=3, h=0, eta=(), size_range=(5, 6))
 
@@ -55,24 +69,32 @@ class TestSpecValidation:
             fast_spec(methods=("placebo", "meta"))
 
     def test_odd_q_sweep(self):
-        spec = fast_spec(sweep_param="q", sweep_values=(4.0, 5.0))
         with pytest.raises(ConfigError, match="even"):
-            _check_applicability(spec)
+            fast_spec(sweep_param="q", sweep_values=(4.0, 5.0))
 
     def test_crs_needs_balance(self):
-        spec = fast_spec(
-            design=LinearDesign(q1=2, q0=4, h=0, eta=(), size_range=(5, 6)),
-            methods=("crs",),
-        )
-        with pytest.raises(MethodInapplicable):
-            _check_applicability(spec)
+        with pytest.raises(MethodInapplicable, match=r"crs .*\(2, 4\)"):
+            fast_spec(
+                design=LinearDesign(q1=2, q0=4, h=0, eta=(), size_range=(5, 6)),
+                methods=("crs",),
+            )
 
     def test_bootstrap_is_linear_only(self):
-        spec = fast_spec(
-            design=ProbitDesign(size_range=(30, 40)), methods=("wild_bootstrap",)
-        )
-        with pytest.raises(MethodInapplicable):
-            _check_applicability(spec)
+        with pytest.raises(MethodInapplicable, match="wild_bootstrap"):
+            fast_spec(
+                design=ProbitDesign(size_range=(30, 40)), methods=("wild_bootstrap",)
+            )
+
+    def test_im_needs_two_clusters_per_group(self):
+        # a q sweep reaching q = 2 leaves one cluster per group
+        with pytest.raises(MethodInapplicable, match=r"im .*\(1, 1\)"):
+            fast_spec(sweep_param="q", sweep_values=(6.0, 2.0), methods=("im",))
+
+    def test_adjusted_placebo_needs_two_clusters_per_group(self):
+        design = LinearDesign(q1=1, q0=3, h=0, eta=(), size_range=(5, 6))
+        with pytest.raises(MethodInapplicable, match=r"placebo .*\(1, 3\)"):
+            fast_spec(design=design)
+        assert fast_spec(design=design, methods=("placebo_unadjusted",))
 
 
 class TestSeeding:
@@ -162,6 +184,11 @@ class TestRunExperiment:
         assert list(run_experiment(both).rows) == expected
         assert len(calls) == 10
 
+    @pytest.mark.parametrize("method", list(TABLE))
+    def test_every_table_entry_runs(self, method):
+        table = run_experiment(fast_spec(methods=(method,), replications=1))
+        assert [row.method for row in table.rows] == [method]
+
 
 class TestEmitters:
     TABLE = RejectionTable(
@@ -245,3 +272,44 @@ class TestSpecFromDict:
         raw = {**self.GOOD, "design": {"kind": "linear", "q1": -1}}
         with pytest.raises(ConfigError, match="design.q1"):
             spec_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("design", {"kind": "linear", "size_range": [5]}, "design.size_range"),
+            ("design", {"kind": "linear", "size_range": [9, 5]}, "design.size_range"),
+            ("design", {"kind": "linear", "eta": 3}, "design.eta"),
+            ("design", {"kind": "linear", "beta": "x"}, "design.beta"),
+            ("design", {"kind": "linear", "h": 15}, "design.h"),
+            ("design", {"kind": "linear", "q1": 0}, "q1"),
+            ("alpha", "x", "alpha"),
+            ("alpha", 1.5, "alpha"),
+            ("bootstrap_reps", 0, "bootstrap_reps"),
+            ("master_seed", -1, "master_seed"),
+            ("sweep", {"param": "beta", "values": "ab"}, "sweep.values"),
+            ("sweep", {"param": "q", "values": [6, 0]}, "sweep.values"),
+            ("sweep", {"param": "h", "values": [1.5]}, "sweep.values"),
+            ("methods", ["placebo", "placebo"], "methods"),
+        ],
+    )
+    def test_bad_field_named(self, field, value, name):
+        with pytest.raises(ConfigError, match=name):
+            spec_from_dict({**self.GOOD, field: value})
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_gives_spec_or_library_error(self, data):
+        raw = {**self.GOOD, "design": dict(self.GOOD["design"])}
+        where = data.draw(st.sampled_from(("whole", "field", "design field")))
+        if where == "whole":
+            raw = data.draw(JSON_VALUES)
+        elif where == "field":
+            raw[data.draw(st.sampled_from(sorted(raw)))] = data.draw(JSON_VALUES)
+        else:
+            key = data.draw(st.sampled_from(DESIGN_KEYS))
+            raw["design"][key] = data.draw(JSON_VALUES)
+        try:
+            spec = spec_from_dict(raw)
+        except FewClustersError:
+            return
+        assert isinstance(spec, ExperimentSpec)
