@@ -1,7 +1,6 @@
 """Placebo (randomization) inference on treatment effects with few clusters."""
 
 from .model import (
-    Assignment,
     Cluster,
     ClusterDataset,
     ClusterLayout,
@@ -10,18 +9,11 @@ from .model import (
     TestResult,
     validate_dataset,
 )
-from .stats import (
-    adjusted_statistic,
-    comparison_of_means,
-    two_sample_variance,
-)
 from .engine import (
-    enumerate_assignments,
     p_value,
     permutation_quantile,
     randomized_threshold,
     run_placebo_test,
-    subsample_assignments,
 )
 from .estimators import (
     FitResult,
@@ -58,7 +50,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "Cluster",
     "ClusterDataset",
     "ClusterLayout",
@@ -71,15 +62,12 @@ __all__ = [
     "RejectionTable",
     "TestConfig",
     "TestResult",
-    "adjusted_statistic",
     "bch_t_test",
     "circular_ma",
-    "comparison_of_means",
     "crs_sign_test",
     "did_slope",
     "emit_csv",
     "emit_svg",
-    "enumerate_assignments",
     "estimate_all",
     "gen_did_panel",
     "gen_linear",
@@ -94,8 +82,6 @@ __all__ = [
     "randomized_threshold",
     "run_experiment",
     "run_placebo_test",
-    "subsample_assignments",
-    "two_sample_variance",
     "validate_dataset",
     "wild_cluster_bootstrap_test",
 ]

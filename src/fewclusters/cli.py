@@ -5,7 +5,7 @@ statistics, runs the chosen inference method, and prints a JSON report.
 ``fewclusters simulate`` runs a Monte Carlo sweep from a JSON config and
 writes a rejection table (CSV) plus a line chart (SVG).
 
-Exit codes: 0 clean run, 2 data error, 3 method inapplicable.
+Exit codes: 0 clean run, 2 data error or bad flag, 3 method inapplicable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -168,11 +167,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FEWCLUSTERS_THREADS", "1")))
-    except ValueError:
-        return 1
+def _checked(convert, ok, need: str):
+    """An argparse type: ``convert`` the flag's text, then require ``ok`` of it."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "a number in (0, 1)")
+_SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--estimator", default="ols", choices=["ols", "did", "probit"]
     )
-    p_test.add_argument("--alpha", type=float, default=0.05)
+    p_test.add_argument("--alpha", type=_ALPHA, default=0.05)
     p_test.add_argument("--side", default="greater", choices=["greater", "less", "two"])
     p_test.add_argument(
         "--unadjusted",
@@ -202,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument(
         "--max-perms",
-        type=int,
+        type=_POSITIVE,
         default=None,
         metavar="M",
         help="subsample M placebo assignments instead of full enumeration",
@@ -211,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pairing", default="random", choices=["random", "by_size"],
         help="cluster matching strategy for the crs method",
     )
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--seed", type=_SEED, default=0)
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo sweep from a config")
@@ -219,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument(
         "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker processes (default: FEWCLUSTERS_THREADS or 1)",
+        type=_POSITIVE,
+        default=1,
+        help="worker processes (default: 1)",
     )
     p_sim.set_defaults(func=cmd_simulate)
     return parser

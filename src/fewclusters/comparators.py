@@ -16,16 +16,16 @@ import numpy as np
 from scipy import special
 
 from .model import (
-    Assignment,
     Cluster,
     ClusterDataset,
     EstimateVector,
     FewClustersError,
+    GroupTooSmall,
     RankDeficient,
     TestResult,
     UnbalancedGroups,
 )
-from . import engine, stats
+from . import engine
 
 # 6-point bootstrap weight support (mean 0, variance 1), each point 1/6
 WEBB_POINTS = np.array(
@@ -53,15 +53,25 @@ class PooledFit:
 
 
 def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestResult:
-    """Two-sample t test on per-cluster estimates, df = min(q1, q0) - 1."""
-    identity = Assignment.identity(x.layout)
-    numerator = stats.comparison_of_means(x, identity)
-    s = math.sqrt(stats.two_sample_variance(x, identity))
+    """Two-sample t test on per-cluster estimates, df = min(q1, q0) - 1.
+
+    The variance sums each group's squared deviations over size * (size - 1).
+    """
+    q1, q0 = x.layout.q1, x.layout.q0
+    if q1 < 2 or q0 < 2:
+        raise GroupTooSmall(f"two-sample variance needs q1, q0 >= 2, got ({q1}, {q0})")
+    t, u = x.values[:q1], x.values[q1:]
+    # np.sum uses pairwise summation, keeping results stable across run orders
+    mean_t, mean_u = np.sum(t) / q1, np.sum(u) / q0
+    numerator = float(mean_t - mean_u)
+    sst = float(np.sum((t - mean_t) ** 2))
+    ssu = float(np.sum((u - mean_u) ** 2))
+    s = math.sqrt(sst / (q1 * (q1 - 1)) + ssu / (q0 * (q0 - 1)))
     if s == 0.0:
         stat = math.copysign(math.inf, numerator) if numerator != 0.0 else 0.0
     else:
         stat = numerator / s
-    return _student_t_decision(stat, min(x.layout.q1, x.layout.q0) - 1, alpha, side)
+    return _student_t_decision(stat, min(q1, q0) - 1, alpha, side)
 
 
 def _student_t_decision(stat: float, df: int, alpha: float, side: str) -> TestResult:
@@ -105,8 +115,8 @@ def pair_clusters(
         raise UnbalancedGroups(
             f"pairing needs q1 == q0, got ({layout.q1}, {layout.q0})"
         )
-    treated = list(layout.treated_indices)
-    untreated = list(layout.untreated_indices)
+    treated = list(range(layout.q1))
+    untreated = list(range(layout.q1, layout.q))
     if strategy == "random":
         rng = np.random.default_rng(seed)
         untreated = [untreated[i] for i in rng.permutation(len(untreated))]

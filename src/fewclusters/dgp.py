@@ -31,7 +31,8 @@ class LinearDesign:
 
 @dataclass(frozen=True)
 class ProbitDesign:
-    """Latent-linear probit design; errors are standard normal in all clusters."""
+    """Latent-linear probit design; in all clusters the latent errors are
+    moving averages of h+1 standard normal draws, with sd 1/sqrt(h+1)."""
 
     q1: int = 3
     q0: int = 3
@@ -103,9 +104,11 @@ def _spawned_rngs(seed, count: int) -> list[np.random.Generator]:
 def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
     """Generate one dataset from the linear cluster-treatment design.
 
-    Treated errors are N(0,1), untreated N(0,2); treated covariates N(0,1),
-    untreated centered chi-square(2). Each cluster gets an independent
-    child stream of the seed, so generation order cannot change the data.
+    Errors are moving averages of h+1 draws, N(0,1) in treated and N(0,2)
+    in untreated clusters, so their sd is 1/sqrt(h+1) and sqrt(2/(h+1)); the
+    covariates average N(0,1) (treated) or centered chi-square(2) draws.
+    Each cluster gets an independent child stream of the seed, so generation
+    order cannot change the data.
     """
     q = design.q1 + design.q0
     rngs = _spawned_rngs(seed, q)

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .model import (
-    Assignment,
     ClusterLayout,
     EstimateVector,
     FewClustersError,
@@ -41,41 +40,6 @@ ZERO_POWER_WARNING = (
     "zero power: the placebo set is smaller than 1/alpha, so the observed "
     "statistic can never exceed the critical value"
 )
-
-
-def _check_cap(layout: ClusterLayout, cap: int) -> int:
-    total = math.comb(layout.q, layout.q1)
-    if total > cap:
-        raise TooManyAssignments(
-            f"C({layout.q}, {layout.q1}) = {total} exceeds the cap of {cap}; "
-            "use subsampling (max_assignments) instead"
-        )
-    return total
-
-
-def enumerate_assignments(
-    layout: ClusterLayout, cap: int = ENUMERATION_CAP
-) -> list[Assignment]:
-    """All C(q, q1) treated-index combinations, identity first, lexicographic."""
-    _check_cap(layout, cap)
-    return [
-        Assignment(combo)
-        for combo in itertools.combinations(range(layout.q), layout.q1)
-    ]
-
-
-def subsample_assignments(
-    layout: ClusterLayout, m: int, seed: int
-) -> list[Assignment]:
-    """Identity plus m i.i.d. uniform draws (with replacement) of assignments."""
-    if m < 1:
-        raise FewClustersError(f"number of subsampled assignments must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    draws = [Assignment.identity(layout)]
-    for _ in range(m):
-        picked = rng.choice(layout.q, size=layout.q1, replace=False)
-        draws.append(Assignment(tuple(int(i) for i in picked)))
-    return draws
 
 
 def bit_rows(n: int) -> np.ndarray:
@@ -158,8 +122,8 @@ def _enumerated_chunks(q: int, q1: int) -> Iterator[np.ndarray]:
 
 
 def _subsampled_mask(layout: ClusterLayout, m: int, seed: int) -> np.ndarray:
-    """Mask rows of the identity plus m draws, from the stream that
-    ``subsample_assignments`` draws with the same seed."""
+    """Mask rows of the identity plus m seeded uniform draws of q1 of the q
+    clusters, each draw without replacement."""
     rng = np.random.default_rng(seed)
     mask = np.zeros((m + 1, layout.q), dtype=bool)
     mask[0, : layout.q1] = True
@@ -301,7 +265,12 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
         n = mask.shape[0]
         chunks = (mask[i : i + CHUNK_ROWS] for i in range(0, n, CHUNK_ROWS))
     else:
-        n = _check_cap(layout, ENUMERATION_CAP)
+        if total > ENUMERATION_CAP:
+            raise TooManyAssignments(
+                f"C({layout.q}, {layout.q1}) = {total} exceeds the cap of "
+                f"{ENUMERATION_CAP}; use subsampling (max_assignments) instead"
+            )
+        n = total
         chunks = _enumerated_chunks(layout.q, layout.q1)
     return _chunked_statistics(x.values, chunks, n, layout.q1, adjusted)
 

@@ -38,7 +38,6 @@ class FitResult:
     theta: float
     nuisance: np.ndarray
     iterations: int
-    converged: bool
 
 
 def _solve_ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -58,9 +57,7 @@ def ols_intercept(cluster: Cluster) -> FitResult:
     x = cluster.covariate_matrix
     design = np.column_stack([np.ones(cluster.size), x])
     coef = _solve_ols(design, cluster.outcomes)
-    return FitResult(
-        theta=float(coef[0]), nuisance=coef[1:], iterations=0, converged=True
-    )
+    return FitResult(theta=float(coef[0]), nuisance=coef[1:], iterations=0)
 
 
 def did_slope(cluster: Cluster) -> FitResult:
@@ -75,9 +72,7 @@ def did_slope(cluster: Cluster) -> FitResult:
     )
     coef = _solve_ols(design, cluster.outcomes)
     nuisance = np.concatenate([coef[:1], coef[2:]])  # fixed effect first
-    return FitResult(
-        theta=float(coef[1]), nuisance=nuisance, iterations=0, converged=True
-    )
+    return FitResult(theta=float(coef[1]), nuisance=nuisance, iterations=0)
 
 
 def probit_moment(design: np.ndarray, y01: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -133,15 +128,13 @@ def _probit_newton(design: np.ndarray, y01: np.ndarray) -> tuple[np.ndarray, int
     )
 
 
-def probit_z_estimate(cluster: Cluster, link: str = "probit") -> FitResult:
+def probit_z_estimate(cluster: Cluster) -> FitResult:
     """Probit constant (and covariate slopes) from the raw moment condition.
 
     Outcomes are interpreted as successes when strictly positive. Both
     outcome values must be present, otherwise the moment condition has no
     zero and a Separation error is raised.
     """
-    if link != "probit":
-        raise ValueError(f"unsupported link {link!r}")
     y01 = (cluster.outcomes > 0).astype(float)
     if y01.min() == y01.max():
         raise Separation(
@@ -149,9 +142,7 @@ def probit_z_estimate(cluster: Cluster, link: str = "probit") -> FitResult:
         )
     design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
     beta, iterations = _probit_newton(design, y01)
-    return FitResult(
-        theta=float(beta[0]), nuisance=beta[1:], iterations=iterations, converged=True
-    )
+    return FitResult(theta=float(beta[0]), nuisance=beta[1:], iterations=iterations)
 
 
 _METHODS: dict[str, Callable[[Cluster], FitResult]] = {

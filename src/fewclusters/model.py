@@ -1,4 +1,4 @@
-"""Shared domain types: clustered data, layouts, assignments, configs, results.
+"""Shared domain types: clustered data, layouts, configs, results.
 
 All types are immutable after construction. A :class:`Cluster` holds its data
 as columns, read-only numpy arrays of outcomes, covariates and optional
@@ -48,10 +48,6 @@ class RaggedCovariates(DataError):
 
 class GroupTooSmall(FewClustersError):
     """A group has too few clusters for the requested computation."""
-
-
-class DegenerateVariance(FewClustersError):
-    """Two-sample variance of a placebo split is exactly zero."""
 
 
 class TooManyAssignments(FewClustersError):
@@ -202,14 +198,6 @@ class ClusterLayout:
     def q(self) -> int:
         return self.q1 + self.q0
 
-    @property
-    def treated_indices(self) -> range:
-        return range(self.q1)
-
-    @property
-    def untreated_indices(self) -> range:
-        return range(self.q1, self.q)
-
 
 @dataclass(frozen=True)
 class ClusterDataset:
@@ -255,33 +243,6 @@ class EstimateVector:
             )
         if not np.all(np.isfinite(values)):
             raise FewClustersError("estimate vector contains non-finite entries")
-
-    def negated(self) -> "EstimateVector":
-        return EstimateVector(-self.values, self.layout)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A placebo labeling: the sorted 0-based indices designated treated."""
-
-    treated_set: tuple[int, ...]
-
-    def __post_init__(self):
-        ts = tuple(sorted(int(i) for i in self.treated_set))
-        if len(set(ts)) != len(ts):
-            raise FewClustersError("treated_set has duplicate indices")
-        object.__setattr__(self, "treated_set", ts)
-
-    @classmethod
-    def identity(cls, layout: ClusterLayout) -> "Assignment":
-        return cls(tuple(range(layout.q1)))
-
-    def is_identity(self, layout: ClusterLayout) -> bool:
-        return self.treated_set == tuple(range(layout.q1))
-
-    def complement(self, layout: ClusterLayout) -> tuple[int, ...]:
-        treated = set(self.treated_set)
-        return tuple(i for i in range(layout.q) if i not in treated)
 
 
 @dataclass(frozen=True)

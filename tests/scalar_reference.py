@@ -1,17 +1,83 @@
-"""Scalar placebo statistics: comparison of means and variance adjustments.
+"""Scalar placebo statistics, one assignment object at a time.
 
-The estimates fed into these functions deliberately carry no per-cluster
-standardization; the adjustment factor exists to compensate for unbalanced
-treated/untreated group sizes, not to studentize.
+The tests hold the engine's streamed mask rows and ``im_t_test`` to this
+independent reference. The adjustment factor compensates for unbalanced
+group sizes; it does not studentize.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Assignment, DegenerateVariance, EstimateVector, GroupTooSmall
+from fewclusters.engine import ENUMERATION_CAP
+from fewclusters.model import (
+    ClusterLayout,
+    EstimateVector,
+    FewClustersError,
+    GroupTooSmall,
+    TooManyAssignments,
+)
+
+
+class DegenerateVariance(FewClustersError):
+    """Two-sample variance of a placebo split is exactly zero."""
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """A placebo labeling: the sorted 0-based indices designated treated."""
+
+    treated_set: tuple[int, ...]
+
+    def __post_init__(self):
+        ts = tuple(sorted(int(i) for i in self.treated_set))
+        if len(set(ts)) != len(ts):
+            raise FewClustersError("treated_set has duplicate indices")
+        object.__setattr__(self, "treated_set", ts)
+
+    @classmethod
+    def identity(cls, layout: ClusterLayout) -> "Assignment":
+        return cls(tuple(range(layout.q1)))
+
+    def is_identity(self, layout: ClusterLayout) -> bool:
+        return self.treated_set == tuple(range(layout.q1))
+
+    def complement(self, layout: ClusterLayout) -> tuple[int, ...]:
+        treated = set(self.treated_set)
+        return tuple(i for i in range(layout.q) if i not in treated)
+
+
+def enumerate_assignments(
+    layout: ClusterLayout, cap: int = ENUMERATION_CAP
+) -> list[Assignment]:
+    """All C(q, q1) treated-index combinations, identity first, lexicographic."""
+    total = math.comb(layout.q, layout.q1)
+    if total > cap:
+        raise TooManyAssignments(
+            f"C({layout.q}, {layout.q1}) = {total} exceeds the cap of {cap}"
+        )
+    return [
+        Assignment(combo)
+        for combo in itertools.combinations(range(layout.q), layout.q1)
+    ]
+
+
+def subsample_assignments(
+    layout: ClusterLayout, m: int, seed: int
+) -> list[Assignment]:
+    """Identity plus m i.i.d. uniform draws (with replacement) of assignments."""
+    if m < 1:
+        raise FewClustersError(f"number of subsampled assignments must be >= 1, got {m}")
+    rng = np.random.default_rng(seed)
+    draws = [Assignment.identity(layout)]
+    for _ in range(m):
+        picked = rng.choice(layout.q, size=layout.q1, replace=False)
+        draws.append(Assignment(tuple(int(i) for i in picked)))
+    return draws
 
 
 def _split(x: EstimateVector, a: Assignment) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,7 @@ import time
 import numpy as np
 
 from fewclusters.dgp import LinearDesign, ProbitDesign, circular_ma
-from fewclusters.engine import (
-    enumerate_assignments,
-    run_placebo_test,
-)
+from fewclusters.engine import placebo_distribution, run_placebo_test
 from fewclusters.estimators import probit_moment, probit_moment_jacobian
 from fewclusters.harness import ExperimentSpec, run_experiment
 from fewclusters.model import ClusterLayout, EstimateVector, TestConfig
@@ -40,8 +37,11 @@ def linear_spec(q1, q0, methods, values=(0.0,), reps=2000, seed=101, param="beta
 
 
 def test_01_exact_combinatorics():
-    n33 = len(enumerate_assignments(ClusterLayout(3, 3)))
-    n66 = len(enumerate_assignments(ClusterLayout(6, 6)))
+    def count(q1, q0):
+        x = EstimateVector(np.zeros(q1 + q0), ClusterLayout(q1, q0))
+        return placebo_distribution(x, TestConfig(adjustment="unadjusted")).size
+
+    n33, n66 = count(3, 3), count(6, 6)
     _report(1, "exact combinatorics", n33 == 20 and n66 == 924,
             f"|Pi| = {n33} at (3,3), {n66} at (6,6); expected 20 and 924")
 

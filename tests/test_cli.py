@@ -228,6 +228,22 @@ class TestTestCommand:
         assert main(argv) == EXIT_INAPPLICABLE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", list(TABLE))
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "1.5"), ("--alpha", "0"), ("--seed", "-1"), ("--max-perms", "0")],
+    )
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys, method, flag, value):
+        # checked when the arguments are parsed, whether or not the method
+        # reads the flag
+        csv_path = write_csv(tmp_path / "d.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--input", str(csv_path), "--method", method, flag, value])
+        assert exc.value.code == EXIT_DATA_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+
     def test_unadjusted_placebo_with_one_treated_cluster(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "d.csv", n_clusters=5, n_treated=1)
         code, report = self.run(
@@ -361,6 +377,17 @@ class TestSimulateCommand:
             ["simulate", "--config", str(config), "--out", str(out), "--threads", "2"]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_threads_exit_code(self, tmp_path, capsys, threads):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIG))
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", threads])
+        assert exc.value.code == EXIT_DATA_ERROR
+        assert "argument --threads: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_skips_scipy_stats():

@@ -20,14 +20,17 @@ from fewclusters.comparators import (
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
     _sign_flip_statistics,
+    _student_t_decision,
 )
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
     EstimateVector,
+    GroupTooSmall,
     UnbalancedGroups,
     validate_dataset,
 )
+from scalar_reference import Assignment, comparison_of_means, two_sample_variance
 
 
 def vec(values, q1):
@@ -69,6 +72,37 @@ class TestImTTest:
         x = vec([-5.0, -4.0, -6.0, 1.0, 0.0, 2.0], q1=3)
         res = im_t_test(x, alpha=0.05, side="two_sided")
         assert res.reject == (abs(res.statistic) > res.critical_value)
+
+    @pytest.mark.parametrize("side", ["greater", "less", "two_sided"])
+    def test_bitwise_equal_to_scalar_reference(self, side):
+        # random sizes and scales, some groups of zero spread, and the
+        # three zero-spread outcomes +inf, -inf and 0
+        rng = np.random.default_rng(47)
+        cases = [([2.0, 2.0, 1.0, 1.0], 2), ([1.0, 1.0, 2.0, 2.0], 2), ([1.0] * 5, 2)]
+        for trial in range(300):
+            q1, q0 = (int(n) for n in rng.integers(2, 13, size=2))
+            values = rng.normal(size=q1 + q0) * 10.0 ** rng.integers(-8, 9)
+            if trial % 10 == 0:
+                values[:q1] = values[0]
+            if trial % 20 == 0:
+                values[q1:] = values[q1]
+            cases.append((values, q1))
+        for values, q1 in cases:
+            x = vec(values, q1)
+            identity = Assignment.identity(x.layout)
+            numerator = comparison_of_means(x, identity)
+            s = math.sqrt(two_sample_variance(x, identity))
+            if s == 0.0:
+                stat = math.copysign(math.inf, numerator) if numerator else 0.0
+            else:
+                stat = numerator / s
+            df = min(x.layout.q1, x.layout.q0) - 1
+            expected = _student_t_decision(stat, df, 0.05, side)
+            assert repr(im_t_test(x, 0.05, side)) == repr(expected)
+
+    def test_one_cluster_group_too_small(self):
+        with pytest.raises(GroupTooSmall):
+            im_t_test(vec([1.0, 2.0, 3.0, 4.0], q1=1), alpha=0.05)
 
 
 class TestPairClusters:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fewclusters.model import (
-    Assignment,
     Cluster,
     ClusterLayout,
     DataError,
@@ -146,17 +145,6 @@ class TestEstimateVector:
     def test_finite_checked(self):
         with pytest.raises(FewClustersError):
             EstimateVector(np.array([1.0, np.nan, 0.0, 0.0]), ClusterLayout(2, 2))
-
-
-class TestAssignment:
-    def test_identity(self):
-        assert Assignment.identity(ClusterLayout(3, 2)).treated_set == (0, 1, 2)
-
-    def test_sorted(self):
-        assert Assignment((3, 1)).treated_set == (1, 3)
-
-    def test_complement(self):
-        assert Assignment((0, 2)).complement(ClusterLayout(2, 2)) == (1, 3)
 
 
 class TestTestConfig:

@@ -1,4 +1,4 @@
-"""Hand-checked values and algebraic properties of the placebo statistics."""
+"""Hand values and algebraic properties of the scalar reference statistics."""
 
 import math
 
@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewclusters.model import (
+from fewclusters.model import ClusterLayout, EstimateVector, GroupTooSmall
+from scalar_reference import (
     Assignment,
-    ClusterLayout,
     DegenerateVariance,
-    EstimateVector,
-    GroupTooSmall,
-)
-from fewclusters.stats import (
     adjusted_statistic,
     comparison_of_means,
     two_sample_variance,
@@ -24,6 +20,17 @@ from fewclusters.stats import (
 def vec(values, q1):
     values = np.asarray(values, dtype=float)
     return EstimateVector(values, ClusterLayout(q1=q1, q0=values.size - q1))
+
+
+class TestAssignment:
+    def test_identity(self):
+        assert Assignment.identity(ClusterLayout(3, 2)).treated_set == (0, 1, 2)
+
+    def test_sorted(self):
+        assert Assignment((3, 1)).treated_set == (1, 3)
+
+    def test_complement(self):
+        assert Assignment((0, 2)).complement(ClusterLayout(2, 2)) == (1, 3)
 
 
 class TestHandValues:
@@ -96,7 +103,7 @@ class TestProperties:
         (q1, q0), values = lv
         x = vec(values, q1)
         a = assignment_for(x.layout, data)
-        lhs = comparison_of_means(x.negated(), a)
+        lhs = comparison_of_means(vec(-np.asarray(values), q1), a)
         rhs = -comparison_of_means(x, a)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
