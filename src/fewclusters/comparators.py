@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,6 +129,13 @@ def pair_clusters(
     return list(zip(treated, untreated))
 
 
+def _signed_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, where x / 0 is +-inf and 0 / 0 is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    return np.where((den == 0.0) & (num == 0.0), 0.0, ratio)
+
+
 def _sign_flip_statistics(beta_hats: np.ndarray) -> np.ndarray:
     """The matched-pair statistic under every sign vector, identity first."""
     # bit row r set where sign vector r keeps a sign: all +1 first, the last
@@ -136,13 +144,7 @@ def _sign_flip_statistics(beta_hats: np.ndarray) -> np.ndarray:
     flipped = signs * beta_hats
     means = flipped.mean(axis=1)
     denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = means / denom
-    degenerate = denom == 0.0
-    if np.any(degenerate):
-        values[degenerate] = np.sign(means[degenerate]) * np.inf
-        values[degenerate & (means == 0.0)] = 0.0
-    return values
+    return _signed_ratio(means, denom)
 
 
 def crs_sign_test(
@@ -210,51 +212,73 @@ def crve_dof_factor(n: int, d: int, q: int) -> float:
     return (n - 1) * q / ((n - d) * (q - 1))
 
 
-def _crve_fit(
-    design: np.ndarray, y: np.ndarray, sizes: np.ndarray
-) -> tuple[PooledFit, np.ndarray]:
-    """Pooled OLS treatment coefficient with its CRVE t statistic, and (X'X)^-1."""
+@dataclass(frozen=True)
+class PooledRegression:
+    """The pooled CRVE regression reduced to per-cluster sums, null imposed.
+
+    The restricted fit drops the treatment dummy and leaves residuals u.
+    Rebuilding the outcomes as fitted + w_k * u_k for cluster weights w and
+    refitting is linear in w, so with g = X (X'X)^-1 e_1 three per-cluster
+    sums carry every refit: ``h[k] = g_k'u_k``, ``t[k] = X_k'g_k`` and
+    ``a[:, k] = (X'X)^-1 X_k'u_k``. A refit's treatment coefficient is h'w
+    and cluster k's treatment score is h_k w_k - t[k]'(a w) (Roodman,
+    MacKinnon, Nielsen and Webb 2019, "Fast and wild"). Weights of one give
+    back the observed outcomes. Built once per dataset by
+    :func:`pooled_regression` and shared by the t(q-1) test and the wild
+    cluster bootstrap.
+    """
+
+    h: np.ndarray  # (q,)
+    t: np.ndarray  # (q, d)
+    a: np.ndarray  # (d, q)
+    n: int
+
+    @property
+    def q(self) -> int:
+        return self.h.shape[0]
+
+    def _beta_se(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        scores = self.h[:, None] * w - self.t @ (self.a @ w)
+        dof = crve_dof_factor(self.n, self.t.shape[1], self.q)
+        return self.h @ w, np.sqrt(dof * np.sum(scores**2, axis=0))
+
+    def t_stats(self, w: np.ndarray) -> np.ndarray:
+        """The refit's CRVE t statistic for each column of weights w (q, B)."""
+        return _signed_ratio(*self._beta_se(w))
+
+    @cached_property
+    def fit(self) -> PooledFit:
+        """The observed fit: the arithmetic of t_stats at weights of one."""
+        beta, se = self._beta_se(np.ones((self.q, 1)))
+        t_stat = float(_signed_ratio(beta, se)[0])
+        d = self.t.shape[1]
+        return PooledFit(float(beta[0]), float(se[0]), t_stat, self.n, self.q, d)
+
+
+def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
+    """Pooled OLS of outcome on (1, treatment, covariates), per-cluster sums.
+
+    Residuals within n * eps * max|y| of zero are rounding noise of outcomes
+    the restricted regressors fit exactly (constant outcomes, say); they are
+    set to zero, so the t statistic and every bootstrap draw of it are 0.
+    """
+    design, y, sizes = _pooled_design(dataset.clusters)
     n, d = design.shape
-    q = sizes.shape[0]
     xtx = design.T @ design
     if np.linalg.matrix_rank(xtx) < d:
         raise RankDeficient("pooled design matrix is rank deficient")
     xtx_inv = np.linalg.inv(xtx)
-    coef = xtx_inv @ (design.T @ y)
-    resid = y - design @ coef
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    meat = np.zeros((d, d))
-    for k in range(q):
-        score = design[bounds[k] : bounds[k + 1]].T @ resid[bounds[k] : bounds[k + 1]]
-        meat += np.outer(score, score)
-    cov = crve_dof_factor(n, d, q) * xtx_inv @ meat @ xtx_inv
-    se = math.sqrt(max(cov[1, 1], 0.0))
-    beta = float(coef[1])
-    t_stat = beta / se if se > 0.0 else math.copysign(math.inf, beta) if beta else 0.0
-    fit = PooledFit(beta_hat=beta, se_crve=se, t_stat=t_stat, n=n, q=q, d=d)
-    return fit, xtx_inv
-
-
-@dataclass(frozen=True)
-class PooledRegression:
-    """The pooled design, outcomes and cluster sizes with their CRVE fit.
-
-    Built once per dataset by :func:`pooled_regression` and shared by the
-    t(q-1) test and the wild cluster bootstrap.
-    """
-
-    design: np.ndarray
-    y: np.ndarray
-    sizes: np.ndarray
-    fit: PooledFit
-    xtx_inv: np.ndarray
-
-
-def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
-    """Pooled OLS of outcome on (1, treatment, covariates) with its CRVE fit."""
-    design, y, sizes = _pooled_design(dataset.clusters)
-    fit, xtx_inv = _crve_fit(design, y, sizes)
-    return PooledRegression(design, y, sizes, fit, xtx_inv)
+    restricted = np.delete(design, 1, axis=1)
+    coef_r, *_ = np.linalg.lstsq(restricted, y, rcond=None)
+    u = y - restricted @ coef_r
+    if np.max(np.abs(u)) <= n * np.finfo(float).eps * np.max(np.abs(y)):
+        u = np.zeros(n)
+    g = design @ xtx_inv[:, 1]
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    h = np.add.reduceat(g * u, starts)
+    t = np.add.reduceat(design * g[:, None], starts)
+    a = xtx_inv @ np.add.reduceat(design * u[:, None], starts).T
+    return PooledRegression(h, t, a, n)
 
 
 def pooled_ols_crve(dataset: ClusterDataset) -> PooledFit:
@@ -298,48 +322,17 @@ def wild_bootstrap_pooled(
 ) -> TestResult:
     """Wild cluster bootstrap of a pooled regression's CRVE t statistic.
 
-    The restricted fit drops the treatment dummy. Each bootstrap draw scales
-    every cluster's restricted residuals by one 6-point weight, rebuilds the
-    outcomes, refits the unrestricted regression, and recomputes the t
-    statistic. The p-value is the plain fraction of bootstrap statistics at
-    least as extreme as the observed one. The critical value is the matching
-    quantile of the bootstrap statistics: the 1 - alpha quantile of t* for
-    "greater", the alpha quantile of t* for "less", and the 1 - alpha
-    quantile of |t*| for a two-sided test.
+    Each draw scales every cluster's restricted residuals by one 6-point
+    weight and takes the t statistic of the refit, from the regression's
+    per-cluster sums in O(q * b_reps) memory. The p-value is the plain
+    fraction of bootstrap statistics at least as extreme as the observed one.
+    The critical value is the matching quantile of the bootstrap statistics:
+    the 1 - alpha quantile of t* for "greater", the alpha quantile of t* for
+    "less", and the 1 - alpha quantile of |t*| for a two-sided test.
     """
-    design, y, sizes = regression.design, regression.y, regression.sizes
-    xtx_inv = regression.xtx_inv
-    n, d = design.shape
-    q = sizes.shape[0]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    observed = regression.fit.t_stat
-
-    restricted = np.delete(design, 1, axis=1)
-    coef_r, *_ = np.linalg.lstsq(restricted, y, rcond=None)
-    if np.linalg.matrix_rank(restricted) < restricted.shape[1]:
-        raise RankDeficient("restricted pooled design is rank deficient")
-    fitted_r = restricted @ coef_r
-    resid_r = y - fitted_r
-
-    # row vector extracting the treatment coefficient from X'y*
-    g = design @ xtx_inv[:, 1]
-
     rng = np.random.default_rng(seed)
-    w_cluster = webb_weights(rng, size=(q, b_reps))
-    w_obs = np.repeat(w_cluster, sizes, axis=0)
-    y_star = fitted_r[:, None] + w_obs * resid_r[:, None]
-
-    coefs = xtx_inv @ (design.T @ y_star)
-    resid = y_star - design @ coefs
-    beta_star = g @ y_star
-    var_star = np.zeros(b_reps)
-    for k in range(q):
-        sl = slice(bounds[k], bounds[k + 1])
-        var_star += (g[sl] @ resid[sl]) ** 2
-    se_star = np.sqrt(crve_dof_factor(n, d, q) * var_star)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = beta_star / se_star
-    t_star[se_star == 0.0] = np.sign(beta_star[se_star == 0.0]) * np.inf
+    t_star = regression.t_stats(webb_weights(rng, size=(regression.q, b_reps)))
+    observed = regression.fit.t_stat
 
     if side == "greater":
         p = float(np.count_nonzero(t_star >= observed)) / b_reps

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
 from .methods import TABLE, Inputs, Setting
 from .model import FewClustersError
 
-log = logging.getLogger(__name__)
 
 SWEEP_PARAMS = ("beta", "h", "q")
 
@@ -156,13 +154,6 @@ def _run_block(
     for rep in range(rep_start, rep_stop):
         streams = _replication_streams(spec.master_seed, sweep_index, rep)
         dataset = generate(design, streams["data"])
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug(
-                "sweep=%s rep=%d dataset_hash=%s",
-                spec.sweep_values[sweep_index],
-                rep,
-                dataset.content_hash(),
-            )
         inputs = Inputs(
             setting,
             dataset,

@@ -10,7 +10,6 @@ every downstream index computation relies on that ordering.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -215,16 +214,6 @@ class ClusterDataset:
     @property
     def n(self) -> int:
         return sum(c.size for c in self.clusters)
-
-    def content_hash(self) -> str:
-        """Stable digest of all numeric content, used by the debug shared-data log."""
-        h = hashlib.sha256()
-        for c in self.clusters:
-            h.update(c.id.encode())
-            h.update(b"1" if c.treated else b"0")
-            h.update(c.outcomes.tobytes())
-            h.update(c.covariate_matrix.tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

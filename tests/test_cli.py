@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fewclusters
@@ -280,6 +281,22 @@ class TestTestCommand:
         report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert report["statistic"] is None
         assert report["reject"] is True
+
+
+    @pytest.mark.parametrize("method", ["bch", "wildboot"])
+    def test_constant_outcomes_not_rejected(self, tmp_path, capsys, method):
+        # every outcome 1.0: the pooled fit leaves only rounding noise, which
+        # must not pass for an effect (it gave t = 2.457 and a rejection)
+        rng = np.random.default_rng(0)
+        p = tmp_path / "d.csv"
+        rows = [
+            f"c{k},{int(k < 3)},1.0,{rng.normal()!r}" for k in range(6) for _ in range(5)
+        ]
+        p.write_text("\n".join(["cluster_id,treated,outcome,x1", *rows]) + "\n")
+        code, report = self.run(capsys, "test", "--input", str(p), "--method", method)
+        assert code == EXIT_OK
+        assert report["statistic"] == 0.0
+        assert report["reject"] is False
 
 
 class TestSimulateCommand:

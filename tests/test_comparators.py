@@ -20,6 +20,7 @@ from fewclusters.comparators import (
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
     _sign_flip_statistics,
+    _signed_ratio,
     _student_t_decision,
 )
 from fewclusters.model import (
@@ -38,15 +39,55 @@ def vec(values, q1):
     return EstimateVector(values, ClusterLayout(q1=q1, q0=values.size - q1))
 
 
-def make_dataset(q1, q0, sizes=None, seed=0, beta=0.0):
+def make_dataset(q1, q0, sizes=None, seed=0, beta=0.0, n_covariates=0, outcome=None):
+    """Normal outcomes (or the constant ``outcome``) and normal covariates."""
     rng = np.random.default_rng(seed)
     sizes = sizes or [5] * (q1 + q0)
     clusters = []
     for k in range(q1 + q0):
         treated = k < q1
         y = rng.normal(size=sizes[k]) + (beta if treated else 0.0)
-        clusters.append(Cluster.from_arrays(f"c{k}", treated, y))
+        if outcome is not None:
+            y = np.full(sizes[k], outcome)
+        x = rng.normal(size=(sizes[k], n_covariates)) if n_covariates else None
+        clusters.append(Cluster.from_arrays(f"c{k}", treated, y, covariates=x))
     return validate_dataset(clusters)
+
+
+def refit_t_stats(dataset, w):
+    """Brute-force wild bootstrap t statistics, one refit per column of w.
+
+    Rebuilds y* = restricted fit + w_k * restricted residuals, refits the
+    full regression with lstsq, and sums the CRVE meat cluster by cluster.
+    """
+    x = np.vstack(
+        [
+            np.column_stack(
+                [np.ones(c.size), np.full(c.size, float(c.treated)), c.covariate_matrix]
+            )
+            for c in dataset.clusters
+        ]
+    )
+    y = np.concatenate([c.outcomes for c in dataset.clusters])
+    sizes = [c.size for c in dataset.clusters]
+    bounds = np.cumsum([0, *sizes])
+    n, d = x.shape
+    q = len(sizes)
+    restricted = np.delete(x, 1, axis=1)
+    fitted = restricted @ np.linalg.lstsq(restricted, y, rcond=None)[0]
+    xtx_inv = np.linalg.inv(x.T @ x)
+    out = np.empty(w.shape[1])
+    for b in range(w.shape[1]):
+        y_star = fitted + np.repeat(w[:, b], sizes) * (y - fitted)
+        coef = np.linalg.lstsq(x, y_star, rcond=None)[0]
+        resid = y_star - x @ coef
+        meat = np.zeros((d, d))
+        for k in range(q):
+            score = x[bounds[k] : bounds[k + 1]].T @ resid[bounds[k] : bounds[k + 1]]
+            meat += np.outer(score, score)
+        cov = (n - 1) * q / ((n - d) * (q - 1)) * xtx_inv @ meat @ xtx_inv
+        out[b] = coef[1] / math.sqrt(cov[1, 1])
+    return out
 
 
 class TestImTTest:
@@ -262,6 +303,72 @@ class TestCrve:
             classical = sigma2 * np.linalg.inv(x.T @ x)[1, 1]
             ratios.append(fit.se_crve**2 / classical)
         assert abs(np.mean(ratios) - 1.0) < 0.2
+
+
+class TestClusterLevelAlgebra:
+    @pytest.mark.parametrize("n_covariates", range(6))
+    def test_t_stats_match_brute_force_refit(self, n_covariates):
+        rng = np.random.default_rng(30 + n_covariates)
+        sizes = [int(m) for m in rng.integers(4, 15, size=7)]
+        ds = make_dataset(3, 4, sizes, n_covariates, beta=0.4, n_covariates=n_covariates)
+        regression = pooled_regression(ds)
+        w = webb_weights(rng, size=(7, 60))
+        t_ref = refit_t_stats(ds, w)
+        np.testing.assert_allclose(regression.t_stats(w), t_ref, rtol=1e-9)
+        ones = np.ones((7, 1))
+        t_obs = regression.fit.t_stat
+        assert t_obs == regression.t_stats(ones)[0]
+        assert t_obs == pytest.approx(refit_t_stats(ds, ones)[0], rel=1e-9)
+
+        # the bootstrap's draws are webb_weights(rng, (q, b_reps)) from its seed
+        draws = webb_weights(np.random.default_rng(5), size=(7, 199))
+        t_ref = refit_t_stats(ds, draws)
+        abs_ref = np.abs(t_ref)
+        expected = {
+            "greater": (np.mean(t_ref >= t_obs), np.quantile(t_ref, 0.9)),
+            "less": (np.mean(t_ref <= t_obs), np.quantile(t_ref, 0.1)),
+            "two_sided": (np.mean(abs_ref >= abs(t_obs)), np.quantile(abs_ref, 0.9)),
+        }
+        for side, (p, crit) in expected.items():
+            res = wild_bootstrap_pooled(regression, 0.1, side, seed=5)
+            assert res.p_value == pytest.approx(p, abs=1e-12)
+            assert res.critical_value == pytest.approx(crit, rel=1e-9)
+
+    def test_signed_ratio(self):
+        num = np.array([3.0, -2.0, 0.0, 0.0, 1.0])
+        den = np.array([0.0, 0.0, 0.0, 2.0, 4.0])
+        assert _signed_ratio(num, den).tolist() == [math.inf, -math.inf, 0.0, 0.0, 0.25]
+
+
+class TestConstantOutcomes:
+    # outcomes the restricted regressors fit exactly leave only rounding noise
+    # in the residuals; the t statistic is 0 and no test rejects on the noise
+
+    @pytest.mark.parametrize("n_covariates", [0, 1, 2])
+    def test_no_test_rejects(self, n_covariates):
+        rng = np.random.default_rng(n_covariates)
+        for seed in range(40):
+            sizes = [int(m) for m in rng.integers(2, 9, size=6)]
+            outcome = float(rng.choice([0.0, 1.0, -3.7, 1e6, 2.5e-9]))
+            ds = make_dataset(3, 3, sizes, seed, n_covariates=n_covariates, outcome=outcome)
+            regression = pooled_regression(ds)
+            assert regression.fit.t_stat == 0.0
+            w = webb_weights(rng, size=(6, 20))
+            assert regression.t_stats(w).tolist() == [0.0] * 20
+            for side in ("greater", "less", "two_sided"):
+                assert not bch_t_test(regression.fit, 0.05, side).reject
+                res = wild_bootstrap_pooled(regression, 0.05, side, seed=seed)
+                assert not res.reject
+
+    def test_outcomes_linear_in_covariates(self):
+        rng = np.random.default_rng(3)
+        clusters = []
+        for k in range(6):
+            x = rng.normal(size=(5, 2))
+            y = 2.0 + x @ [3.0, -0.5]
+            clusters.append(Cluster.from_arrays(f"c{k}", k < 3, y, covariates=x))
+        fit = pooled_ols_crve(validate_dataset(clusters))
+        assert (fit.beta_hat, fit.t_stat) == (0.0, 0.0)
 
 
 class TestBchT:

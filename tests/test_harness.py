@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo harness: seeding, determinism, outputs."""
 
-import logging
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -153,13 +152,6 @@ class TestRunExperiment:
         )
         table = run_experiment(spec)
         assert table.rate("placebo", 3.0) > table.rate("placebo", 0.0) + 0.3
-
-    def test_shared_dataset_hash_logged(self, caplog):
-        spec = fast_spec(replications=2)
-        with caplog.at_level(logging.DEBUG, logger="fewclusters.harness"):
-            run_experiment(spec)
-        hash_records = [r for r in caplog.records if "dataset_hash=" in r.getMessage()]
-        assert len(hash_records) == 2
 
     def test_placebo_unadjusted_equal_when_balanced(self):
         # with q1 == q0 the default placebo method is the unadjusted one
