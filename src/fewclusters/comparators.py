@@ -3,7 +3,8 @@
 Implemented here: the two-sample t test on per-cluster estimates, the
 sign-change permutation test on matched-pair estimates, pooled OLS with a
 cluster-robust variance estimator (CRVE), the t(q-1) test based on it, and
-the wild cluster bootstrap with 6-point weights and the null imposed.
+the wild cluster bootstrap with 6-point weights and the null imposed. Their
+least-squares fits use ``estimators.least_squares`` and its rank rule.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
+from .estimators import _probit_newton, least_squares
 from .model import (
     Cluster,
     ClusterDataset,
     EstimateVector,
+    EstimationError,
     FewClustersError,
     GroupTooSmall,
     RankDeficient,
@@ -48,9 +51,7 @@ class PooledFit:
     beta_hat: float
     se_crve: float
     t_stat: float
-    n: int
     q: int
-    d: int
 
 
 def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestResult:
@@ -243,41 +244,47 @@ class PooledRegression:
         return self.h @ w, np.sqrt(dof * np.sum(scores**2, axis=0))
 
     def t_stats(self, w: np.ndarray) -> np.ndarray:
-        """The refit's CRVE t statistic for each column of weights w (q, B)."""
-        return _signed_ratio(*self._beta_se(w))
+        """The refit's CRVE t statistic for each column of weights w (q, B);
+        q equal weights c scale the refit by c: exactly sign(c) * observed t."""
+        t = _signed_ratio(*self._beta_se(w))
+        equal = np.all(w == w[:1], axis=0)
+        return np.where(equal, np.sign(w[0]) * self.fit.t_stat, t)
 
     @cached_property
     def fit(self) -> PooledFit:
         """The observed fit: the arithmetic of t_stats at weights of one."""
         beta, se = self._beta_se(np.ones((self.q, 1)))
         t_stat = float(_signed_ratio(beta, se)[0])
-        d = self.t.shape[1]
-        return PooledFit(float(beta[0]), float(se[0]), t_stat, self.n, self.q, d)
+        return PooledFit(float(beta[0]), float(se[0]), t_stat, self.q)
 
 
 def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     """Pooled OLS of outcome on (1, treatment, covariates), per-cluster sums.
 
-    Residuals within n * eps * max|y| of zero are rounding noise of outcomes
-    the restricted regressors fit exactly (constant outcomes, say); they are
-    set to zero, so the t statistic and every bootstrap draw of it are 0.
+    The restricted fit (treatment dummy D dropped) of [y, D] leaves u and
+    D~, so g = D~ / (D~'D~) by Frisch-Waugh; column k of ``a`` is the full
+    fit of u_k in cluster k's rows and 0 elsewhere. Residuals within
+    n * eps * max|y| of zero are rounding noise of outcomes the restricted
+    regressors fit exactly (constant outcomes, say); they are set to zero,
+    so the t statistic and every bootstrap draw of it are 0. RankDeficient
+    when n <= d, which leaves the CRVE no degrees of freedom.
     """
     design, y, sizes = _pooled_design(dataset.clusters)
     n, d = design.shape
-    xtx = design.T @ design
-    if np.linalg.matrix_rank(xtx) < d:
-        raise RankDeficient("pooled design matrix is rank deficient")
-    xtx_inv = np.linalg.inv(xtx)
+    if n <= d:
+        raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
     restricted = np.delete(design, 1, axis=1)
-    coef_r, *_ = np.linalg.lstsq(restricted, y, rcond=None)
-    u = y - restricted @ coef_r
+    rhs = np.column_stack([y, design[:, 1]])
+    u, d_tilde = (rhs - restricted @ least_squares(restricted, rhs)).T
     if np.max(np.abs(u)) <= n * np.finfo(float).eps * np.max(np.abs(y)):
         u = np.zeros(n)
-    g = design @ xtx_inv[:, 1]
+    u_blocks = np.zeros((n, sizes.shape[0]))
+    u_blocks[np.arange(n), np.repeat(np.arange(sizes.shape[0]), sizes)] = u
+    a = least_squares(design, u_blocks)
+    g = d_tilde / (d_tilde @ d_tilde)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     h = np.add.reduceat(g * u, starts)
     t = np.add.reduceat(design * g[:, None], starts)
-    a = xtx_inv @ np.add.reduceat(design * u[:, None], starts).T
     return PooledRegression(h, t, a, n)
 
 
@@ -353,28 +360,30 @@ def wild_bootstrap_pooled(
     )
 
 
+def _pair_betas(dataset: ClusterDataset, pairs, fit) -> np.ndarray:
+    """``fit(design, y)[1]`` of each pair; EstimationError names both clusters."""
+    betas = np.empty(len(pairs))
+    for i, (ti, ui) in enumerate(pairs):
+        pair = (dataset.clusters[ti], dataset.clusters[ui])
+        design, y, _ = _pooled_design(pair)
+        try:
+            betas[i] = fit(design, y)[1]
+        except FewClustersError as exc:
+            raise EstimationError(pair[0].id, exc, partner=pair[1].id) from exc
+    return betas
+
+
 def pair_beta_ols(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
-    betas = np.empty(len(pairs))
-    for i, (ti, ui) in enumerate(pairs):
-        design, y, _ = _pooled_design((dataset.clusters[ti], dataset.clusters[ui]))
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        betas[i] = coef[1]
-    return betas
+    return _pair_betas(dataset, pairs, least_squares)
 
 
 def pair_beta_probit(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from a probit fit of each matched pair."""
-    from .estimators import _probit_newton
-
-    betas = np.empty(len(pairs))
-    for i, (ti, ui) in enumerate(pairs):
-        design, y, _ = _pooled_design((dataset.clusters[ti], dataset.clusters[ui]))
-        y01 = (y > 0).astype(float)
-        coef, _ = _probit_newton(design, y01)
-        betas[i] = coef[1]
-    return betas
+    return _pair_betas(
+        dataset, pairs, lambda design, y: _probit_newton(design, (y > 0).astype(float))[0]
+    )

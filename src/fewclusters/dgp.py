@@ -55,9 +55,11 @@ def circular_ma(source: np.ndarray, h: int) -> np.ndarray:
         raise HOutOfRange(f"h must lie in [0, {m - 1}], got {h}")
     if h == 0:
         return source.copy()
+    # padded[..., j:j + m] is np.roll(source, -j): the same additions in order
+    padded = np.concatenate([source, source[..., :h]], axis=-1)
     out = source.copy()
     for j in range(1, h + 1):
-        out += np.roll(source, -j, axis=-1)
+        out += padded[..., j : j + m]
     return out / (h + 1)
 
 

@@ -1,7 +1,8 @@
 """Per-cluster estimators feeding the placebo test.
 
 Each fit uses data from a single cluster only and returns one scalar: the
-regression intercept, the post-period slope, or the probit constant. The
+regression intercept, the post-period slope, or the probit constant. Every
+linear fit, here and in ``comparators``, uses :func:`least_squares`. The
 probit fit solves the raw moment condition (indicator minus link), not the
 likelihood score, via damped Newton iteration.
 """
@@ -40,23 +41,26 @@ class FitResult:
     iterations: int
 
 
-def _solve_ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via QR; raises RankDeficient on singular designs."""
+def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients (p,) or (p, k) of rhs (m,) or (m, k) on the design.
+
+    The one solver and rank rule of every linear fit: RankDeficient when
+    m < p or the smallest singular value is below 1e-10 * max(largest, 1).
+    """
     m, p = design.shape
     if m < p:
         raise RankDeficient(f"{m} observations cannot identify {p} coefficients")
-    q_mat, r_mat = np.linalg.qr(design)
-    diag = np.abs(np.diag(r_mat))
-    if np.any(diag < 1e-10 * max(diag.max(), 1.0)):
+    coef, _, _, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    if sv[-1] < 1e-10 * max(sv[0], 1.0):
         raise RankDeficient("design matrix is rank deficient")
-    return np.linalg.solve(r_mat, q_mat.T @ y)
+    return coef
 
 
 def ols_intercept(cluster: Cluster) -> FitResult:
     """Intercept of the within-cluster regression of outcome on covariates."""
     x = cluster.covariate_matrix
     design = np.column_stack([np.ones(cluster.size), x])
-    coef = _solve_ols(design, cluster.outcomes)
+    coef = least_squares(design, cluster.outcomes)
     return FitResult(theta=float(coef[0]), nuisance=coef[1:], iterations=0)
 
 
@@ -70,7 +74,7 @@ def did_slope(cluster: Cluster) -> FitResult:
     design = np.column_stack(
         [np.ones(cluster.size), post, cluster.covariate_matrix]
     )
-    coef = _solve_ols(design, cluster.outcomes)
+    coef = least_squares(design, cluster.outcomes)
     nuisance = np.concatenate([coef[:1], coef[2:]])  # fixed effect first
     return FitResult(theta=float(coef[1]), nuisance=nuisance, iterations=0)
 

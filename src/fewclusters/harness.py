@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -143,10 +145,9 @@ def _replication_streams(
     return dict(zip(("data", "pairing", "crs_u", "bootstrap", "oracle"), children))
 
 
-def _run_block(
-    spec: ExperimentSpec, sweep_index: int, rep_start: int, rep_stop: int
-) -> dict[str, int]:
-    """Reject counts per method over a contiguous range of replications."""
+def _run_block(spec: ExperimentSpec, block: tuple[int, int, int]) -> dict[str, int]:
+    """Reject counts per method over one (sweep index, start, stop) block."""
+    sweep_index, rep_start, rep_stop = block
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
     setting = _setting(design)
     generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
@@ -174,41 +175,28 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RejectionTable:
     count: replication seeds depend only on (sweep index, replication
     index) and the reduction is an integer sum.
     """
-    rows: list[RejectionRow] = []
-    for sweep_index, value in enumerate(spec.sweep_values):
-        counts = {m: 0 for m in spec.methods}
-        if workers <= 1:
-            blocks = [_run_block(spec, sweep_index, 0, spec.replications)]
-        else:
-            chunk = math.ceil(spec.replications / workers)
-            ranges = [
-                (start, min(start + chunk, spec.replications))
-                for start in range(0, spec.replications, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                blocks = list(
-                    pool.map(
-                        _run_block,
-                        [spec] * len(ranges),
-                        [sweep_index] * len(ranges),
-                        [r[0] for r in ranges],
-                        [r[1] for r in ranges],
-                    )
-                )
-        for block in blocks:
-            for method, count in block.items():
-                counts[method] += count
-        for method in spec.methods:
-            rows.append(
-                RejectionRow(
-                    method=method,
-                    sweep_param=spec.sweep_param,
-                    sweep_value=float(value),
-                    reject_rate=counts[method] / spec.replications,
-                    reps=spec.replications,
-                    seed=spec.master_seed,
-                )
-            )
+    n = spec.replications
+    chunk = math.ceil(n / max(workers, 1))
+    blocks = [
+        (sweep_index, start, min(start + chunk, n))
+        for sweep_index in range(len(spec.sweep_values))
+        for start in range(0, n, chunk)
+    ]
+    run = functools.partial(_run_block, spec)
+    if workers <= 1:
+        results = list(map(run, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, blocks))
+    counts = [Counter() for _ in spec.sweep_values]
+    for (sweep_index, _, _), block_counts in zip(blocks, results):
+        counts[sweep_index].update(block_counts)
+    param, seed = spec.sweep_param, spec.master_seed
+    rows = [
+        RejectionRow(method, param, float(value), counts[i][method] / n, n, seed)
+        for i, value in enumerate(spec.sweep_values)
+        for method in spec.methods
+    ]
     return RejectionTable(rows=tuple(rows))
 
 

@@ -82,17 +82,19 @@ class HOutOfRange(FewClustersError):
 
 
 class EstimationError(FewClustersError):
-    """Per-cluster estimation failed; carries the offending cluster id."""
+    """Estimation failed; carries the offending cluster id (and a pair's partner)."""
 
-    def __init__(self, cluster_id: str, cause: Exception):
-        super().__init__(f"estimation failed for cluster {cluster_id!r}: {cause}")
+    def __init__(self, cluster_id: str, cause: Exception, partner: Optional[str] = None):
+        pair = "" if partner is None else f" paired with {partner!r}"
+        super().__init__(f"estimation failed for cluster {cluster_id!r}{pair}: {cause}")
         self.cluster_id = cluster_id
         self.cause = cause
+        self.partner = partner
 
     def __reduce__(self):
         # args holds only the message, so rebuild from the constructor's own
         # arguments; worker processes send the error back pickled
-        return type(self), (self.cluster_id, self.cause)
+        return type(self), (self.cluster_id, self.cause, self.partner)
 
 
 def _read_only(values, error: type, message: str) -> np.ndarray:

@@ -18,6 +18,7 @@ from fewclusters.cli import (
     main,
     read_csv_dataset,
 )
+from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.harness import spec_from_dict
 from fewclusters.methods import TABLE
 from fewclusters.model import DataError
@@ -297,6 +298,30 @@ class TestTestCommand:
         assert code == EXIT_OK
         assert report["statistic"] == 0.0
         assert report["reject"] is False
+
+    def test_crs_rank_deficient_pair(self, tmp_path, capsys):
+        # at h = m - 1 the moving average is the cluster mean, so every
+        # cluster's covariates are constant and each pair's fit is singular
+        ds = gen_linear(LinearDesign(q1=3, q0=3, h=14, size_range=(15, 15)), 7)
+        lines = ["cluster_id,treated,outcome," + ",".join(f"x{j + 1}" for j in range(5))]
+        for c in ds:
+            for y, row in zip(c.outcomes.tolist(), c.covariate_matrix.tolist()):
+                lines.append(",".join([c.id, str(int(c.treated)), repr(y), *map(repr, row)]))
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["test", "--input", str(p), "--method", "crs"]) == EXIT_DATA_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "paired with 'c" in err and "rank deficient" in err
+
+    @pytest.mark.parametrize("method", ["bch", "wildboot"])
+    def test_pooled_fit_without_residual_degrees_of_freedom(self, tmp_path, capsys, method):
+        # one row per cluster: n = d = 2 leaves the CRVE nothing to divide by
+        p = tmp_path / "d.csv"
+        p.write_text("cluster_id,treated,outcome\na,1,1.0\nb,0,2.0\n")
+        assert main(["test", "--input", str(p), "--method", method]) == EXIT_DATA_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and "no residual" in err
 
 
 class TestSimulateCommand:

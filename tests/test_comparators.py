@@ -13,6 +13,7 @@ from fewclusters.comparators import (
     crs_sign_test,
     crve_dof_factor,
     im_t_test,
+    pair_beta_ols,
     pair_clusters,
     pooled_ols_crve,
     pooled_regression,
@@ -27,7 +28,9 @@ from fewclusters.model import (
     Cluster,
     ClusterLayout,
     EstimateVector,
+    EstimationError,
     GroupTooSmall,
+    RankDeficient,
     UnbalancedGroups,
     validate_dataset,
 )
@@ -369,6 +372,69 @@ class TestConstantOutcomes:
             clusters.append(Cluster.from_arrays(f"c{k}", k < 3, y, covariates=x))
         fit = pooled_ols_crve(validate_dataset(clusters))
         assert (fit.beta_hat, fit.t_stat) == (0.0, 0.0)
+
+
+class TestEqualWeightDraws:
+    # q equal weights c rescale the observed refit by c, so t* = sign(c) * t
+    # exactly; rounding must not decide whether such a draw counts toward p
+
+    def test_p_value_exact(self, monkeypatch):
+        import fewclusters.comparators as comparators
+
+        signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+        columns = np.resize(WEBB_POINTS[WEBB_POINTS > 0], signs.size) * signs
+        monkeypatch.setattr(
+            comparators, "webb_weights", lambda rng, size: np.tile(columns, (size[0], 1))
+        )
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            sizes = [int(m) for m in rng.integers(3, 9, size=6)]
+            ds = make_dataset(3, 3, sizes, seed, beta=0.5, n_covariates=1)
+            regression = pooled_regression(ds)
+            t_obs = regression.fit.t_stat
+            expected = np.sign(columns) * t_obs
+            assert regression.t_stats(np.tile(columns, (6, 1))).tolist() == expected.tolist()
+            # the draws with c > 0 give t* = t and count on either side; those
+            # with c < 0 give -t, which counts only on the side t points away from
+            same = np.count_nonzero(signs > 0) / 8
+            p = {
+                "greater": same if t_obs > 0 else 1.0,
+                "less": same if t_obs < 0 else 1.0,
+                "two_sided": 1.0,
+            }
+            for side, p_side in p.items():
+                assert wild_bootstrap_pooled(regression, 0.05, side, b_reps=8).p_value == p_side
+
+
+class TestPooledRankRule:
+    def test_as_many_rows_as_coefficients(self):
+        one_row = [Cluster.from_arrays("a", True, [1.0]), Cluster.from_arrays("b", False, [2.0])]
+        with pytest.raises(RankDeficient, match="no residual"):
+            pooled_regression(validate_dataset(one_row))
+
+    def test_collinear_pooled_design(self):
+        # a covariate equal to the treatment dummy
+        clusters = [
+            Cluster.from_arrays(f"c{k}", k < 2, [1.0, 2.0, 4.0], covariates=[[k < 2]] * 3)
+            for k in range(4)
+        ]
+        with pytest.raises(RankDeficient, match="design matrix is rank deficient"):
+            pooled_regression(validate_dataset(clusters))
+
+    def test_rank_deficient_pair_names_both_clusters(self):
+        # covariates constant within each cluster are collinear with the
+        # intercept and the treatment dummy in a two-cluster fit
+        rng = np.random.default_rng(0)
+        clusters = [
+            Cluster.from_arrays(f"c{k}", k < 3, rng.normal(size=4), covariates=[[k]] * 4)
+            for k in range(6)
+        ]
+        ds = validate_dataset(clusters)
+        with pytest.raises(EstimationError) as info:
+            pair_beta_ols(ds, [(0, 4), (1, 3), (2, 5)])
+        assert (info.value.cluster_id, info.value.partner) == ("c0", "c4")
+        assert isinstance(info.value.cause, RankDeficient)
+        assert "cluster 'c0' paired with 'c4'" in str(info.value)
 
 
 class TestBchT:

@@ -74,6 +74,19 @@ class TestCircularMa:
         emp = np.mean(x[:, 0] * x[:, h + 1])
         assert emp == pytest.approx(0.0, abs=0.01)
 
+    def test_bitwise_equal_to_roll_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            shape = tuple(int(k) for k in rng.integers(1, 6, size=rng.integers(0, 3)))
+            m = int(rng.integers(1, 30))
+            source = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(*shape, m))
+            h = int(rng.integers(0, m))
+            expected = source.copy()
+            for j in range(1, h + 1):
+                expected += np.roll(source, -j, axis=-1)
+            expected /= h + 1
+            assert np.array_equal(circular_ma(source, h), expected)
+
     def test_2d_matches_rowwise(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 12))

@@ -8,6 +8,7 @@ from fewclusters.estimators import (
     MOMENT_TOL,
     estimate_all,
     did_slope,
+    least_squares,
     ols_intercept,
     probit_moment,
     probit_moment_jacobian,
@@ -22,6 +23,41 @@ from fewclusters.model import (
     Separation,
     validate_dataset,
 )
+
+
+class TestLeastSquares:
+    def test_matrix_rhs_solves_each_column(self):
+        rng = np.random.default_rng(1)
+        design = rng.normal(size=(12, 4))
+        rhs = rng.normal(size=(12, 3))
+        coef = least_squares(design, rhs)
+        assert coef.shape == (4, 3)
+        for k in range(3):
+            expected = np.linalg.lstsq(design, rhs[:, k], rcond=None)[0]
+            np.testing.assert_allclose(coef[:, k], expected, rtol=1e-12, atol=1e-14)
+        # residuals are orthogonal to the design
+        resid = rhs - design @ coef
+        np.testing.assert_allclose(design.T @ resid, 0.0, atol=1e-12)
+
+    def test_fewer_rows_than_coefficients(self):
+        with pytest.raises(RankDeficient, match="cannot identify"):
+            least_squares(np.ones((2, 3)), np.ones(2))
+
+    def test_nearly_collinear_columns(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=20)
+        design = np.column_stack([np.ones(20), x, 2.0 * x + 1e-13 * rng.normal(size=20)])
+        with pytest.raises(RankDeficient, match="rank deficient"):
+            least_squares(design, rng.normal(size=(20, 2)))
+
+    def test_rank_floor_scales_with_the_design(self):
+        # the rule is relative to the largest singular value above 1, so
+        # rescaling a well-conditioned design by 1e6 does not trip it
+        rng = np.random.default_rng(3)
+        design = rng.normal(size=(10, 3))
+        least_squares(design * 1e6, np.ones(10))
+        with pytest.raises(RankDeficient):
+            least_squares(design * 1e-12, np.ones(10))
 
 
 class TestOlsIntercept:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewclusters import comparators
+from fewclusters import comparators, harness
 from fewclusters.dgp import LinearDesign, ProbitDesign
 from fewclusters.harness import (
     ConfigError,
@@ -131,6 +131,28 @@ class TestRunExperiment:
         serial = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=3)
         assert serial == parallel
+
+    def test_csv_bytes_equal_across_workers(self, tmp_path, monkeypatch):
+        # one pool serves every sweep value; 7 replications split unevenly
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        spec = fast_spec(
+            methods=("placebo", "im", "bch_t"),
+            sweep_values=(0.0, 0.5, 1.0),
+            replications=7,
+        )
+        texts = []
+        for workers in (1, 2, 4):
+            emit_csv(run_experiment(spec, workers=workers), tmp_path / "t.csv")
+            texts.append((tmp_path / "t.csv").read_bytes())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert pools == [{"max_workers": 2}, {"max_workers": 4}]
 
     def test_estimation_error_same_across_workers(self):
         # a separated probit cluster at beta = 1.5 fails replication 0 or later
