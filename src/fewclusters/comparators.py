@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .estimators import _probit_newton, least_squares
 from .model import (
@@ -78,7 +77,10 @@ def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestRes
 
 def _student_t_decision(stat: float, df: int, alpha: float, side: str) -> TestResult:
     """Critical value, p-value and decision for a statistic referred to t(df)."""
+    # imported here, so that a run without a t test never loads scipy;
     # stdtr(df, x) is the t(df) cdf and stdtrit(df, q) its inverse
+    from scipy import special
+
     if side == "greater":
         crit = float(special.stdtrit(df, 1.0 - alpha))
         p = float(special.stdtr(df, -stat))
@@ -208,6 +210,11 @@ def _pooled_design(
     )
 
 
+# clusters whose right-hand sides share one solve for ``a`` in pooled_regression,
+# so its memory grows with n * A_BLOCK, not n * q
+A_BLOCK = 16
+
+
 def crve_dof_factor(n: int, d: int, q: int) -> float:
     """Degrees-of-freedom correction (n-1)q / ((n-d)(q-1)) for the CRVE."""
     return (n - 1) * q / ((n - d) * (q - 1))
@@ -266,7 +273,8 @@ def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     fit of u_k in cluster k's rows and 0 elsewhere. Residuals within
     n * eps * max|y| of zero are rounding noise of outcomes the restricted
     regressors fit exactly (constant outcomes, say); they are set to zero,
-    so the t statistic and every bootstrap draw of it are 0. RankDeficient
+    so the t statistic and every bootstrap draw of it are 0. Columns of
+    ``a`` are solved A_BLOCK clusters at a time. RankDeficient
     when n <= d, which leaves the CRVE no degrees of freedom.
     """
     design, y, sizes = _pooled_design(dataset.clusters)
@@ -278,11 +286,17 @@ def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     u, d_tilde = (rhs - restricted @ least_squares(restricted, rhs)).T
     if np.max(np.abs(u)) <= n * np.finfo(float).eps * np.max(np.abs(y)):
         u = np.zeros(n)
-    u_blocks = np.zeros((n, sizes.shape[0]))
-    u_blocks[np.arange(n), np.repeat(np.arange(sizes.shape[0]), sizes)] = u
-    a = least_squares(design, u_blocks)
+    q = sizes.shape[0]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    starts = bounds[:-1]
+    a = np.empty((d, q))
+    for lo in range(0, q, A_BLOCK):
+        hi = min(lo + A_BLOCK, q)
+        rows = np.arange(bounds[lo], bounds[hi])
+        u_blocks = np.zeros((n, hi - lo))
+        u_blocks[rows, np.repeat(np.arange(hi - lo), sizes[lo:hi])] = u[rows]
+        a[:, lo:hi] = least_squares(design, u_blocks)
     g = d_tilde / (d_tilde @ d_tilde)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     h = np.add.reduceat(g * u, starts)
     t = np.add.reduceat(design * g[:, None], starts)
     return PooledRegression(h, t, a, n)

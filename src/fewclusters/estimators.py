@@ -4,16 +4,17 @@ Each fit uses data from a single cluster only and returns one scalar: the
 regression intercept, the post-period slope, or the probit constant. Every
 linear fit, here and in ``comparators``, uses :func:`least_squares`. The
 probit fit solves the raw moment condition (indicator minus link), not the
-likelihood score, via damped Newton iteration.
+likelihood score, via damped Newton iteration; it is the only fit that
+loads ``scipy.special``, when it first runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import (
     Cluster,
@@ -79,30 +80,53 @@ def did_slope(cluster: Cluster) -> FitResult:
     return FitResult(theta=float(coef[1]), nuisance=nuisance, iterations=0)
 
 
+def _moment(ndtr, design: np.ndarray, y01: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The probit moment at index z = design @ beta, with the link ``ndtr``."""
+    resid = y01 - ndtr(z)
+    return design.T @ resid / design.shape[0]
+
+
+def _jacobian(design: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Derivative of the moment at index z = design @ beta."""
+    dens = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)  # standard normal density
+    return -(design.T * dens) @ design / design.shape[0]
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it."""
+    return math.sqrt(v.dot(v))
+
+
 def probit_moment(design: np.ndarray, y01: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Sample moment: mean of design-row times (success indicator minus link)."""
-    resid = y01 - ndtr(design @ beta)
-    return design.T @ resid / design.shape[0]
+    from scipy.special import ndtr
+
+    return _moment(ndtr, design, y01, design @ beta)
 
 
 def probit_moment_jacobian(
     design: np.ndarray, y01: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """Exact derivative of the moment with respect to the parameters."""
-    z = design @ beta
-    dens = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)  # standard normal density
-    return -(design.T * dens) @ design / design.shape[0]
+    return _jacobian(design, design @ beta)
 
 
 def _probit_newton(design: np.ndarray, y01: np.ndarray) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration on the probit moment condition from zero."""
+    """Damped Newton iteration on the probit moment condition from zero.
+
+    The index z = design @ beta of the accepted step feeds the next Jacobian.
+    """
+    # imported here, once per fit, so that the linear fits never load scipy
+    from scipy.special import ndtr
+
     beta = np.zeros(design.shape[1])
-    psi = probit_moment(design, y01, beta)
-    psi_norm = float(np.linalg.norm(psi))
+    z = design @ beta
+    psi = _moment(ndtr, design, y01, z)
+    psi_norm = _norm(psi)
     for iteration in range(1, MAX_NEWTON_ITER + 1):
         if psi_norm < MOMENT_TOL:
             return beta, iteration - 1
-        jac = probit_moment_jacobian(design, y01, beta)
+        jac = _jacobian(design, z)
         try:
             step = np.linalg.solve(jac, -psi)
         except np.linalg.LinAlgError as exc:
@@ -110,20 +134,21 @@ def _probit_newton(design: np.ndarray, y01: np.ndarray) -> tuple[np.ndarray, int
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + scale * step
-            cand_psi = probit_moment(design, y01, candidate)
-            cand_norm = float(np.linalg.norm(cand_psi))
+            cand_z = design @ candidate
+            cand_psi = _moment(ndtr, design, y01, cand_z)
+            cand_norm = _norm(cand_psi)
             if cand_norm < psi_norm:
                 break
             scale *= 0.5
         else:
             raise NoConvergence("probit step halving failed to reduce the moment")
-        beta, psi, psi_norm = candidate, cand_psi, cand_norm
+        beta, z, psi, psi_norm = candidate, cand_z, cand_psi, cand_norm
         if abs(beta[0]) > THETA_SEPARATION_BOUND:
             raise Separation(
                 f"probit constant escaped past {THETA_SEPARATION_BOUND}; "
                 "outcomes are likely separated"
             )
-        if float(np.linalg.norm(beta)) > PARAM_DIVERGENCE_NORM:
+        if _norm(beta) > PARAM_DIVERGENCE_NORM:
             raise NoConvergence("probit parameters diverged")
     if psi_norm < MOMENT_TOL:
         return beta, MAX_NEWTON_ITER

@@ -440,6 +440,65 @@ def test_cli_import_skips_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
+LEAN_RUN = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import fewclusters
+loaded["import fewclusters"] = scipy_modules()
+import fewclusters.cli
+loaded["import fewclusters.cli"] = scipy_modules()
+for path, estimator in zip(sys.argv[1::2], sys.argv[2::2]):
+    argv = ["test", "--input", path, "--method", "placebo", "--estimator", estimator]
+    code = fewclusters.cli.main(argv)
+    loaded[f"placebo {estimator} exit {code}"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_placebo_run_loads_no_scipy(tmp_path):
+    # scipy.special is imported only by the probit fit and the t tests
+    linear = write_csv(tmp_path / "linear.csv")
+    did = tmp_path / "did.csv"
+    rows = [
+        f"c{k},{int(k < 3)},{0.3 * k + 0.1 * i + (i >= 2) * (1 + 0.2 * k)},{int(i >= 2)}"
+        for k in range(6)
+        for i in range(4)
+    ]
+    did.write_text("\n".join(["cluster_id,treated,outcome,post", *rows]) + "\n")
+    proc = run_cli_process("-c", LEAN_RUN, str(linear), "ols", str(did), "did")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import fewclusters": [],
+        "import fewclusters.cli": [],
+        "placebo ols exit 0": [],
+        "placebo did exit 0": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["--method", "im"], ["--method", "bch"], ["--estimator", "probit"]]
+)
+def test_scipy_methods_in_a_fresh_process(tmp_path, capsys, argv):
+    # these import scipy.special when they first compute; a fresh process,
+    # where nothing has loaded it yet, must give the in-process report
+    pattern = [0, 1, 1, 0, 1, 0, 1, 1, 0, 1]
+    rows = [
+        f"c{k},{int(k < 3)},{pattern[(i + k) % 10]}" for k in range(6) for i in range(7 + k)
+    ]
+    path = tmp_path / "binary.csv"
+    path.write_text("\n".join(["cluster_id,treated,outcome", *rows]) + "\n")
+    assert main(["test", "--input", str(path), *argv]) == EXIT_OK
+    expected = capsys.readouterr().out
+    proc = run_cli_process("-m", "fewclusters", "test", "--input", str(path), *argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == expected
+
+
 class TestBundledConfigs:
     def test_all_configs_validate(self):
         from importlib import resources

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
 from fewclusters.comparators import (
+    A_BLOCK,
     WEBB_POINTS,
     bch_t_test,
     crs_sign_test,
@@ -20,10 +22,12 @@ from fewclusters.comparators import (
     webb_weights,
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
+    _pooled_design,
     _sign_flip_statistics,
     _signed_ratio,
     _student_t_decision,
 )
+from fewclusters.estimators import least_squares
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
@@ -435,6 +439,48 @@ class TestPooledRankRule:
         assert (info.value.cluster_id, info.value.partner) == ("c0", "c4")
         assert isinstance(info.value.cause, RankDeficient)
         assert "cluster 'c0' paired with 'c4'" in str(info.value)
+
+
+class TestBlockedSolve:
+    # pooled_regression solves for ``a`` A_BLOCK clusters at a time
+
+    @staticmethod
+    def unblocked_a(dataset):
+        """``a`` from one solve with all q right-hand sides."""
+        design, y, sizes = _pooled_design(dataset.clusters)
+        restricted = np.delete(design, 1, axis=1)
+        rhs = np.column_stack([y, design[:, 1]])
+        u = (rhs - restricted @ least_squares(restricted, rhs))[:, 0]
+        u_blocks = np.zeros((u.size, sizes.size))
+        u_blocks[np.arange(u.size), np.repeat(np.arange(sizes.size), sizes)] = u
+        return least_squares(design, u_blocks)
+
+    def test_one_block_is_bitwise_the_single_solve(self):
+        ds = make_dataset(6, 6, [7 + k for k in range(12)], seed=3, n_covariates=3)
+        assert 12 <= A_BLOCK
+        assert pooled_regression(ds).a.tolist() == self.unblocked_a(ds).tolist()
+
+    def test_many_blocks_match_the_single_solve(self):
+        q = 40
+        ds = make_dataset(20, 20, [6 + k % 9 for k in range(q)], seed=4, n_covariates=2)
+        regression = pooled_regression(ds)
+        expected = self.unblocked_a(ds)
+        np.testing.assert_allclose(regression.a, expected, rtol=1e-12, atol=0.0)
+        w = webb_weights(np.random.default_rng(4), size=(q, 20))
+        np.testing.assert_allclose(regression.t_stats(w), refit_t_stats(ds, w), rtol=1e-9)
+
+    def test_memory_below_one_column_per_cluster(self):
+        # the old single solve held an n x q right-hand side on its own
+        q, m = 64, 200
+        ds = make_dataset(32, 32, [m] * q, seed=5, n_covariates=3)
+        pooled_regression(ds)
+        tracemalloc.start()
+        try:
+            pooled_regression(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q * m * q * 8
 
 
 class TestBchT:

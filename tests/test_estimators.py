@@ -5,7 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from fewclusters.estimators import (
+    MAX_NEWTON_ITER,
     MOMENT_TOL,
+    _probit_newton,
     estimate_all,
     did_slope,
     least_squares,
@@ -180,6 +182,42 @@ class TestProbit:
                 - probit_moment(design, y01, beta - e)
             ) / (2 * step)
             np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
+
+    def test_newton_bitwise_equal_to_public_moment_loop(self):
+        # the fit reuses the accepted step's index and takes norms as
+        # sqrt(v.v); a loop on the public moment, Jacobian and
+        # np.linalg.norm must give the same bits and iteration count
+        def reference(design, y01):
+            beta = np.zeros(design.shape[1])
+            psi = probit_moment(design, y01, beta)
+            norm = np.linalg.norm(psi)
+            for iteration in range(1, MAX_NEWTON_ITER + 1):
+                if norm < MOMENT_TOL:
+                    return beta, iteration - 1
+                jac = probit_moment_jacobian(design, y01, beta)
+                step = np.linalg.solve(jac, -psi)
+                scale = 1.0
+                for _ in range(31):
+                    candidate = beta + scale * step
+                    if np.linalg.norm(probit_moment(design, y01, candidate)) < norm:
+                        break
+                    scale *= 0.5
+                beta = candidate
+                psi = probit_moment(design, y01, beta)
+                norm = np.linalg.norm(psi)
+            raise AssertionError("reference loop did not converge")
+
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            m, k = int(rng.integers(20, 400)), int(rng.integers(0, 4))
+            x = rng.normal(size=(m, k))
+            latent = rng.normal(scale=0.5) + x @ rng.normal(scale=0.5, size=k)
+            y01 = (latent + rng.normal(size=m) > 0).astype(float)
+            design = np.column_stack([np.ones(m), x])
+            beta, iterations = _probit_newton(design, y01)
+            expected, expected_iterations = reference(design, y01)
+            assert beta.tolist() == expected.tolist()
+            assert iterations == expected_iterations
 
     def test_rmse_shrinks_with_sample_size(self):
         # root-mean-square error of the probit constant over 500 draws
