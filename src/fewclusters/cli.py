@@ -117,16 +117,18 @@ def cmd_test(args) -> int:
         )
     except (FewClustersError, OSError) as exc:
         return _error(exc)
-    report = {
-        "method": args.method,
-        "estimator": args.estimator,
-        "statistic": _json_number(result.statistic),
-        "critical_value": _json_number(result.critical_value),
-        "p_value": _json_number(result.p_value),
-        "reject": result.reject,
-        "n_assignments": result.n_assignments,
-        "warnings": list(result.warnings),
-    }
+    report = {"method": args.method, "estimator": args.estimator}
+    for key in ("statistic", "critical_value", "p_value"):
+        value = getattr(result, key)
+        if math.isfinite(value):
+            report[key] = value
+        else:
+            # strict JSON has no infinity or nan: null, and the value beside it
+            report[key] = None
+            report[f"{key}_nonfinite"] = "nan" if math.isnan(value) else f"{value:+}"
+    report["reject"] = result.reject
+    report["n_assignments"] = result.n_assignments
+    report["warnings"] = list(result.warnings)
     print(json.dumps(report, allow_nan=False))
     return EXIT_OK
 
@@ -134,12 +136,6 @@ def cmd_test(args) -> int:
 def _error(exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_INAPPLICABLE if isinstance(exc, MethodInapplicable) else EXIT_DATA_ERROR
-
-
-def _json_number(value: float):
-    """The value, or None (JSON null) when it is infinite or nan, which
-    strict JSON cannot write; degenerate splits give infinite statistics."""
-    return value if math.isfinite(value) else None
 
 
 def cmd_simulate(args) -> int:

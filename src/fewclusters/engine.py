@@ -1,5 +1,9 @@
 """Placebo-assignment enumeration, permutation quantiles, and the test itself.
 
+The statistic of an assignment needs only the sums of the estimates (and of
+their squares) over its treated clusters. Full enumeration builds these from
+a prefix part and a cached suffix table, so it builds no mask row.
+
 The evaluated set of assignments always has the identity assignment first,
 so the observed statistic is a member of the placebo distribution. That
 membership is what makes the quantile rule and the p-value rule provably
@@ -28,13 +32,17 @@ from .model import (
 
 ENUMERATION_CAP = 10_000_000
 
-# Full enumeration streams its mask rows in chunks of this many rows, so the
-# masks take O(CHUNK_ROWS * q) memory however many assignments there are.
-CHUNK_ROWS = 1 << 16
-
 # Width of the cached table of suffix rows: all 2**12 rows of 12 bits, split
 # by the number of ones (at most C(12, 6) = 924 rows each).
 TABLE_BITS = 12
+
+# Subsampled assignments are drawn in blocks of this many rows, so their
+# masks take O(DRAW_ROWS * q) memory however many are drawn.
+DRAW_ROWS = 1 << 14
+
+# (v,) for the unadjusted statistic and (v, v * v) for the adjusted one, or
+# those summed over the treated clusters of each assignment
+Moments = tuple[np.ndarray, ...]
 
 ZERO_POWER_WARNING = (
     "zero power: the placebo set is smaller than 1/alpha, so the observed "
@@ -77,59 +85,65 @@ def _suffix_rows(t: int, k: int) -> np.ndarray:
     return _suffix_table()[k][-math.comb(t, k) :, TABLE_BITS - t :]
 
 
-def _enumerated_chunks(q: int, q1: int) -> Iterator[np.ndarray]:
-    """Mask rows of all C(q, q1) assignments in lexicographic order, chunked.
+def _mask_sums(mask: np.ndarray, moments: Moments) -> Moments:
+    """Each moment summed over the treated clusters of every mask row."""
+    fmask = mask.astype(float)
+    return tuple(fmask @ m for m in moments)
 
-    Lexicographic order of the treated sets is descending order of the rows
-    read as q-bit integers with cluster 0 the top bit, so the identity comes
-    first. The last t = min(q, TABLE_BITS) clusters take their bits from the
-    cached table. The first q - t clusters form a prefix; the prefixes with
-    j ones come from ``itertools.combinations`` in descending order and are
-    merged by value, and each contributes the suffix rows with q1 - j ones.
-    For q <= TABLE_BITS the one chunk is a read-only view of the table.
+
+def _enumerated_sums(moments: Moments, q1: int) -> Iterator[Moments]:
+    """Treated sums of all C(q, q1) assignments in lexicographic order.
+
+    Lexicographic order of the treated sets is descending order of their
+    mask rows read as q-bit integers with cluster 0 the top bit, so the
+    identity comes first. The last t = min(q, TABLE_BITS) clusters take their
+    bits from the cached table, whose rows with k ones give one block of
+    suffix sums. The first q - t clusters form a prefix; the prefixes with j
+    ones come from ``itertools.combinations`` in descending order and are
+    merged by value, and each yields its own sum plus the suffix block with
+    q1 - j ones. No product spans more than C(12, 6) rows, so no sum depends
+    on how BLAS splits its work.
     """
+    q = moments[0].shape[0]
     t = min(q, TABLE_BITS)
     p = q - t
     if p == 0:
-        yield _suffix_rows(t, q1)
+        yield _mask_sums(_suffix_rows(t, q1), moments)
         return
+    ones = range(max(0, q1 - t), min(q1, p) + 1)
+    tails = tuple(m[p:] for m in moments)
+    suffix = {j: _mask_sums(_suffix_rows(t, q1 - j), tails) for j in ones}
     runs = [
         (
             (sum(1 << (p - 1 - i) for i in combo), combo)
             for combo in itertools.combinations(range(p), j)
         )
-        for j in range(max(0, q1 - t), min(q1, p) + 1)
+        for j in ones
     ]
-    chunk = np.empty((CHUNK_ROWS, q), dtype=bool)
-    filled = 0
     for _, combo in heapq.merge(*runs, reverse=True):
-        prefix = np.zeros(p, dtype=bool)
-        prefix[list(combo)] = True
-        block = _suffix_rows(t, q1 - len(combo))
-        start = 0
-        while start < block.shape[0]:
-            take = min(block.shape[0] - start, CHUNK_ROWS - filled)
-            chunk[filled : filled + take, :p] = prefix
-            chunk[filled : filled + take, p:] = block[start : start + take]
-            filled += take
-            start += take
-            if filled == CHUNK_ROWS:
-                yield chunk
-                chunk = np.empty((CHUNK_ROWS, q), dtype=bool)
-                filled = 0
-    if filled:
-        yield chunk[:filled]
+        treated = list(combo)
+        yield tuple(
+            m[treated].sum() + s for m, s in zip(moments, suffix[len(combo)])
+        )
 
 
-def _subsampled_mask(layout: ClusterLayout, m: int, seed: int) -> np.ndarray:
+def _subsampled_masks(
+    layout: ClusterLayout, m: int, seed: int
+) -> Iterator[np.ndarray]:
     """Mask rows of the identity plus m seeded uniform draws of q1 of the q
-    clusters, each draw without replacement."""
+    clusters, in blocks of at most DRAW_ROWS draws; the identity leads.
+
+    Each draw is one row of ``rng.permuted`` over the cluster indices, and
+    the clusters at which 0..q1-1 land are treated: a uniform q1-subset.
+    """
     rng = np.random.default_rng(seed)
-    mask = np.zeros((m + 1, layout.q), dtype=bool)
-    mask[0, : layout.q1] = True
-    for row in mask[1:]:
-        row[rng.choice(layout.q, size=layout.q1, replace=False)] = True
-    return mask
+    identity = np.arange(layout.q)[None, :]
+    for start in range(0, m, DRAW_ROWS):
+        rows = min(DRAW_ROWS, m - start)
+        draws = rng.permuted(np.repeat(identity, rows, axis=0), axis=1)
+        if start == 0:
+            draws = np.concatenate([identity, draws])
+        yield draws < layout.q1
 
 
 def permutation_quantile(stats: Sequence[float], alpha: float) -> float:
@@ -177,80 +191,79 @@ def placebo_statistics(
     a signed infinity, or 0.0 when its comparison of means is also zero;
     this keeps quantiles and p-values well defined for degenerate inputs.
     """
-    return _chunked_statistics(values, (mask,), mask.shape[0], q1, adjusted)
-
-
-def _chunked_statistics(
-    values: np.ndarray,
-    chunks: Iterable[np.ndarray],
-    n: int,
-    q1: int,
-    adjusted: bool,
-) -> np.ndarray:
-    """``placebo_statistics`` over n mask rows that arrive in chunks.
-
-    Every step after the product of a chunk with the values is elementwise,
-    so a row's statistic does not depend on how the rows are chunked.
-    """
     v = np.asarray(values, dtype=float)
+    moments = (v, v * v) if adjusted else (v,)
+    return _statistics(moments, [_mask_sums(mask, moments)], mask.shape[0], q1)
+
+
+def _statistics(
+    moments: Moments, blocks: Iterable[Moments], n: int, q1: int
+) -> np.ndarray:
+    """``placebo_statistics`` of n assignments from blocks of treated sums.
+
+    Each block holds, for consecutive assignments (identity first), every
+    moment summed over the treated clusters: ``(sum_t,)`` unadjusted,
+    ``(sum_t, sumsq_t)`` adjusted. Every step is elementwise, so a row's
+    statistic does not depend on how the rows are split into blocks.
+    """
+    v = moments[0]
     q0 = v.shape[0] - q1
     total = v.sum()
+    adjusted = len(moments) == 2
     if adjusted:
-        vv = v * v
-        total_sq = vv.sum()
+        total_sq = moments[1].sum()
     stats = np.empty(n)
     s2_identity = None
     start = 0
-    for chunk in chunks:
-        fmask = chunk.astype(float)
-        sum_t = fmask @ v
-        sum_u = total - sum_t
-        out = stats[start : start + sum_t.shape[0]]
-        first = start == 0
-        start += sum_t.shape[0]
-        if not adjusted:
-            np.subtract(sum_t / q1, sum_u / q0, out=out)
-            continue
+    # degenerate splits divide by zero; they are mapped below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sums in blocks:
+            sum_t = sums[0]
+            sum_u = total - sum_t
+            out = stats[start : start + sum_t.shape[0]]
+            first = start == 0
+            start += sum_t.shape[0]
+            if not adjusted:
+                np.subtract(sum_t / q1, sum_u / q0, out=out)
+                continue
 
-        mean_diff = sum_t / q1 - sum_u / q0
-        sumsq_t = fmask @ vv
-        sumsq_u = total_sq - sumsq_t
-        ss_t = np.maximum(sumsq_t - sum_t**2 / q1, 0.0)
-        ss_u = np.maximum(sumsq_u - sum_u**2 / q0, 0.0)
-        s2 = ss_t / (q1 * (q1 - 1)) + ss_u / (q0 * (q0 - 1))
-        if first:
-            s2_identity = s2[0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean_diff = sum_t / q1 - sum_u / q0
+            sumsq_t = sums[1]
+            sumsq_u = total_sq - sumsq_t
+            ss_t = np.maximum(sumsq_t - sum_t**2 / q1, 0.0)
+            ss_u = np.maximum(sumsq_u - sum_u**2 / q0, 0.0)
+            s2 = ss_t / (q1 * (q1 - 1)) + ss_u / (q0 * (q0 - 1))
+            if first:
+                s2_identity = s2[0]
             out[:] = mean_diff * np.sqrt(s2_identity / s2)
-        degenerate = s2 == 0.0
-        if np.any(degenerate):
-            with np.errstate(invalid="ignore"):
+            degenerate = s2 == 0.0
+            if degenerate.any():
                 out[degenerate] = np.sign(mean_diff[degenerate]) * np.inf
-            out[degenerate & (mean_diff == 0.0)] = 0.0
-        if first:
-            # identity ratio is exactly one by construction
-            out[0] = mean_diff[0]
+                out[degenerate & (mean_diff == 0.0)] = 0.0
+            if first:
+                # identity ratio is exactly one by construction
+                out[0] = mean_diff[0]
     return stats
 
 
 def _one_sided_greater(
     stats: np.ndarray, alpha: float
-) -> tuple[float, float, float, float, bool, bool]:
+) -> tuple[float, float, float, bool]:
+    """Critical value, tie-splitting probability, p-value and decision of the
+    test that rejects for large values of stats[0]."""
     observed = float(stats[0])
     c, delta = randomized_threshold(stats, alpha)
-    p = p_value(observed, stats)
-    reject = observed > c
-    zero_power = math.floor(stats.shape[0] * alpha) == 0
-    return observed, c, delta, p, reject, zero_power
+    return c, delta, p_value(observed, stats), observed > c
 
 
 def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
     """The placebo statistic over every evaluated assignment, identity first.
 
-    All C(q, q1) assignments in lexicographic order, streamed in chunks; or,
-    when ``cfg.max_assignments`` is below that count, the identity plus that
-    many seeded draws. Raises TooManyAssignments before any work when full
-    enumeration would exceed ENUMERATION_CAP.
+    All C(q, q1) assignments in lexicographic order, from prefix plus suffix
+    sums without a mask row; or, when ``cfg.max_assignments`` is below that
+    count, the identity plus that many seeded draws. Raises
+    TooManyAssignments before any work when full enumeration would exceed
+    ENUMERATION_CAP.
     """
     layout = x.layout
     adjusted = cfg.adjustment == "adjusted"
@@ -259,11 +272,13 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
             "the adjusted placebo statistic needs at least two clusters per "
             f"group, got ({layout.q1}, {layout.q0}); use adjustment='unadjusted'"
         )
+    v = np.asarray(x.values, dtype=float)
+    moments = (v, v * v) if adjusted else (v,)
     total = math.comb(layout.q, layout.q1)
     if cfg.max_assignments is not None and total > cfg.max_assignments:
-        mask = _subsampled_mask(layout, cfg.max_assignments, cfg.seed)
-        n = mask.shape[0]
-        chunks = (mask[i : i + CHUNK_ROWS] for i in range(0, n, CHUNK_ROWS))
+        n = cfg.max_assignments + 1
+        masks = _subsampled_masks(layout, cfg.max_assignments, cfg.seed)
+        blocks = (_mask_sums(mask, moments) for mask in masks)
     else:
         if total > ENUMERATION_CAP:
             raise TooManyAssignments(
@@ -271,8 +286,8 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
                 f"{ENUMERATION_CAP}; use subsampling (max_assignments) instead"
             )
         n = total
-        chunks = _enumerated_chunks(layout.q, layout.q1)
-    return _chunked_statistics(x.values, chunks, n, layout.q1, adjusted)
+        blocks = _enumerated_sums(moments, layout.q1)
+    return _statistics(moments, blocks, n, layout.q1)
 
 
 def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
@@ -286,43 +301,23 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
     """
     stats = placebo_distribution(x, cfg)
     n = stats.shape[0]
-    warnings: list[str] = []
-
-    if cfg.side in ("greater", "less"):
+    if cfg.side == "two_sided":
+        alpha = cfg.alpha / 2.0
+        c, delta, p_plus, rej_plus = _one_sided_greater(stats, alpha)
+        _, _, p_minus, rej_minus = _one_sided_greater(-stats, alpha)
+        p, reject = min(1.0, 2.0 * min(p_plus, p_minus)), rej_plus or rej_minus
+    else:
+        alpha = cfg.alpha
         signed = stats if cfg.side == "greater" else -stats
-        observed, c, delta, p, reject, zero_power = _one_sided_greater(
-            signed, cfg.alpha
-        )
-        if zero_power:
-            warnings.append(ZERO_POWER_WARNING)
-        return TestResult(
-            statistic=float(stats[0]),
-            critical_value=c,
-            p_value=p,
-            reject=reject,
-            n_assignments=n,
-            side=cfg.side,
-            adjustment=cfg.adjustment,
-            randomized_threshold=delta,
-            warnings=tuple(warnings),
-        )
-
-    half = cfg.alpha / 2.0
-    obs_plus, c_plus, delta_plus, p_plus, rej_plus, zp_plus = _one_sided_greater(
-        stats, half
-    )
-    _, c_minus, _, p_minus, rej_minus, _ = _one_sided_greater(-stats, half)
-    if zp_plus:
-        warnings.append(ZERO_POWER_WARNING)
-    p_two = min(1.0, 2.0 * min(p_plus, p_minus))
+        c, delta, p, reject = _one_sided_greater(signed, alpha)
     return TestResult(
-        statistic=obs_plus,
-        critical_value=c_plus,
-        p_value=p_two,
-        reject=rej_plus or rej_minus,
+        statistic=float(stats[0]),
+        critical_value=c,
+        p_value=p,
+        reject=reject,
         n_assignments=n,
-        side="two_sided",
+        side=cfg.side,
         adjustment=cfg.adjustment,
-        randomized_threshold=delta_plus,
-        warnings=tuple(warnings),
+        randomized_threshold=delta,
+        warnings=(ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else (),
     )

@@ -166,9 +166,7 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
     """
     y01 = (cluster.outcomes > 0).astype(float)
     if y01.min() == y01.max():
-        raise Separation(
-            f"cluster {cluster.id!r} has a constant binary outcome"
-        )
+        raise Separation("constant binary outcome")
     design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
     beta, iterations = _probit_newton(design, y01)
     return FitResult(theta=float(beta[0]), nuisance=beta[1:], iterations=iterations)

@@ -284,6 +284,42 @@ class TestTestCommand:
         assert report["reject"] is True
 
 
+    def test_infinite_statistic_keeps_its_sign(self, tmp_path, capsys):
+        # zero spread in both groups: the im t statistic is +inf when the
+        # treated clusters lie above and -inf when they lie below
+        reports = []
+        for high in (1, 0):
+            p = tmp_path / f"d{high}.csv"
+            rows = [
+                f"c{k},{int(k < 3)},{float((k < 3) == high)}"
+                for k in range(6)
+                for _ in range(4)
+            ]
+            p.write_text("\n".join(["cluster_id,treated,outcome", *rows]) + "\n")
+            assert main(["test", "--input", str(p), "--method", "im"]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        plus, minus = reports
+        assert plus["statistic"] is None and plus["statistic_nonfinite"] == "+inf"
+        assert minus["statistic"] is None and minus["statistic_nonfinite"] == "-inf"
+        assert "critical_value_nonfinite" not in plus
+        assert plus != minus
+
+    def test_probit_separation_names_cluster_once(self, tmp_path, capsys):
+        # every outcome of c00 is positive, so its probit fit cannot solve
+        rng = np.random.default_rng(3)
+        rows = [
+            f"c{k:02d},{int(k < 3)},{1.0 if k == 0 else rng.normal()!r}"
+            for k in range(6)
+            for _ in range(20)
+        ]
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(["cluster_id,treated,outcome", *rows]) + "\n")
+        argv = ["test", "--input", str(p), "--estimator", "probit"]
+        assert main(argv) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert "constant binary outcome" in err
+        assert err.count("'c00'") == 1
+
     @pytest.mark.parametrize("method", ["bch", "wildboot"])
     def test_constant_outcomes_not_rejected(self, tmp_path, capsys, method):
         # every outcome 1.0: the pooled fit leaves only rounding noise, which

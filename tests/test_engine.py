@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,21 @@ from scalar_reference import (
     enumerate_assignments,
     subsample_assignments,
 )
+
+
+# sha256 of the 10+10 placebo distribution of 20 fixed random vectors, adjusted
+# and unadjusted, one line each
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from fewclusters.engine import placebo_distribution
+from fewclusters.model import ClusterLayout, EstimateVector, TestConfig
+layout = ClusterLayout(10, 10)
+for v in np.random.default_rng(47).normal(size=(20, 20)):
+    for adjustment in ("adjusted", "unadjusted"):
+        stats = placebo_distribution(EstimateVector(v, layout), TestConfig(adjustment=adjustment))
+        print(hashlib.sha256(stats.tobytes()).hexdigest())
+"""
 
 
 def vec(values, q1):
@@ -105,19 +124,20 @@ class TestSubsampling:
 
 
 class TestStreamedEnumeration:
-    @pytest.mark.parametrize("chunk_rows", [engine.CHUNK_ROWS, 7])
-    def test_rows_match_combinations(self, monkeypatch, chunk_rows):
+    def test_rows_match_combinations(self):
+        # v_i = 2**(q - 1 - i) makes each treated sum its mask row read as a
+        # q-bit integer, exactly, and so does v * v for the sums of squares;
         # q = 13..16 put a prefix of one to four clusters before the table
-        monkeypatch.setattr(engine, "CHUNK_ROWS", chunk_rows)
         for q in range(2, 17):
+            v = 2.0 ** np.arange(q - 1, -1, -1)
             for q1 in range(1, q):
-                layout = ClusterLayout(q1, q - q1)
-                chunks = [c.copy() for c in engine._enumerated_chunks(q, q1)]
-                assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
-                np.testing.assert_array_equal(
-                    np.concatenate(chunks),
-                    reference_mask(enumerate_assignments(layout), q),
-                )
+                ref = reference_mask(enumerate_assignments(ClusterLayout(q1, q - q1)), q)
+                blocks = list(engine._enumerated_sums((v, v * v), q1))
+                for k, weights in enumerate((v, v * v)):
+                    np.testing.assert_array_equal(
+                        np.concatenate([b[k] for b in blocks]),
+                        ref.astype(np.int64) @ weights.astype(np.int64),
+                    )
 
     def test_bit_rows_match_product(self):
         for n in range(1, 9):
@@ -182,13 +202,44 @@ class TestStreamedEnumeration:
     def test_subsampled_rows_match_draws(self):
         layout = ClusterLayout(4, 5)
         x = vec(np.random.default_rng(43).normal(size=9), q1=4)
-        mask = engine._subsampled_mask(layout, 60, seed=3)
-        ref = reference_mask(subsample_assignments(layout, 60, seed=3), layout.q)
-        np.testing.assert_array_equal(mask, ref)
+        mask = np.concatenate(list(engine._subsampled_masks(layout, 60, seed=3)))
+        assert mask.shape == (61, 9)
+        np.testing.assert_array_equal(mask[0], np.arange(9) < 4)
+        np.testing.assert_array_equal(mask.sum(axis=1), np.full(61, 4))
         cfg = TestConfig(max_assignments=60, seed=3)
         np.testing.assert_array_equal(
-            placebo_distribution(x, cfg), placebo_statistics(x.values, ref, 4, True)
+            placebo_distribution(x, cfg), placebo_statistics(x.values, mask, 4, True)
         )
+
+    def test_subsampled_draws_repeat_and_are_uniform(self):
+        # 20,000 draws span two blocks; each of the C(6, 3) = 20 subsets
+        # should appear with frequency 0.05 +/- 0.01
+        layout = ClusterLayout(3, 3)
+        blocks = list(engine._subsampled_masks(layout, 20_000, seed=7))
+        assert max(b.shape[0] for b in blocks) <= engine.DRAW_ROWS + 1
+        mask = np.concatenate(blocks)
+        again = np.concatenate(list(engine._subsampled_masks(layout, 20_000, seed=7)))
+        np.testing.assert_array_equal(mask, again)
+        np.testing.assert_array_equal(mask[0], [True] * 3 + [False] * 3)
+        codes, counts = np.unique(mask[1:] @ (1 << np.arange(6)), return_counts=True)
+        assert len(codes) == 20
+        assert all(bin(c).count("1") == 3 for c in codes)
+        np.testing.assert_allclose(counts / 20_000, 0.05, atol=0.01)
+
+    def test_ten_ten_independent_of_blas_threads(self, tmp_path):
+        # C(20, 10) rows: the prefix-plus-suffix sums must not round
+        # differently when OpenBLAS splits a product over two threads
+        src = str(Path(engine.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=300, check=True,
+            )
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 40
+        assert digests[0] == digests[1]
 
 
 class TestQuantile:
