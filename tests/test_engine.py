@@ -124,12 +124,15 @@ class TestSubsampling:
 
 
 class TestStreamedEnumeration:
-    def test_rows_match_combinations(self):
-        # v_i = 2**(q - 1 - i) makes each treated sum its mask row read as a
-        # q-bit integer, exactly, and so does v * v for the sums of squares;
-        # q = 13..16 put a prefix of one to four clusters before the table
+    @pytest.mark.parametrize("scale", [65536, 7])
+    def test_rows_match_combinations(self, scale):
+        # v_i = scale * 2**(q - 1 - i) makes each treated sum scale times its
+        # mask row read as a q-bit integer, exactly, and so does v * v for the
+        # sums of squares; scale 7 gives sums of several mantissa bits and
+        # 65536 squares up to 2**62; q = 13..16 put a prefix of one to four
+        # clusters before the table
         for q in range(2, 17):
-            v = 2.0 ** np.arange(q - 1, -1, -1)
+            v = scale * 2.0 ** np.arange(q - 1, -1, -1)
             for q1 in range(1, q):
                 ref = reference_mask(enumerate_assignments(ClusterLayout(q1, q - q1)), q)
                 blocks = list(engine._enumerated_sums((v, v * v), q1))
