@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import _probit_newton, least_squares
+from .estimators import least_squares, probit_newton_batch
 from .model import (
     Cluster,
     ClusterDataset,
@@ -374,30 +374,46 @@ def wild_bootstrap_pooled(
     )
 
 
-def _pair_betas(dataset: ClusterDataset, pairs, fit) -> np.ndarray:
-    """``fit(design, y)[1]`` of each pair; EstimationError names both clusters."""
+def _pair_betas(dataset: ClusterDataset, pairs, fits) -> np.ndarray:
+    """Coefficient 1 (the treatment dummy) of each pair's pooled fit.
+
+    ``fits(designs, ys)`` gives each pair's coefficients or its error; the
+    first failing pair raises EstimationError naming both clusters.
+    """
+    clusters = [(dataset.clusters[ti], dataset.clusters[ui]) for ti, ui in pairs]
+    designs, ys, _ = zip(*(_pooled_design(pair) for pair in clusters))
     betas = np.empty(len(pairs))
-    for i, (ti, ui) in enumerate(pairs):
-        pair = (dataset.clusters[ti], dataset.clusters[ui])
-        design, y, _ = _pooled_design(pair)
-        try:
-            betas[i] = fit(design, y)[1]
-        except FewClustersError as exc:
-            raise EstimationError(pair[0].id, exc, partner=pair[1].id) from exc
+    for i, (pair, coef) in enumerate(zip(clusters, fits(designs, ys))):
+        if isinstance(coef, FewClustersError):
+            raise EstimationError(pair[0].id, coef, partner=pair[1].id) from coef
+        betas[i] = coef[1]
     return betas
+
+
+def _least_squares_each(designs, ys):
+    """least_squares of each design in turn, or the error it raised."""
+    for design, y in zip(designs, ys):
+        try:
+            yield least_squares(design, y)
+        except FewClustersError as exc:
+            yield exc
 
 
 def pair_beta_ols(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
-    return _pair_betas(dataset, pairs, least_squares)
+    return _pair_betas(dataset, pairs, _least_squares_each)
+
+
+def _probit_batch(designs, ys):
+    """The probit fits of all pairs as one batch: coefficients or the error."""
+    betas, _, errors = probit_newton_batch(designs, [(y > 0).astype(float) for y in ys])
+    return [error or beta for beta, error in zip(betas, errors)]
 
 
 def pair_beta_probit(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from a probit fit of each matched pair."""
-    return _pair_betas(
-        dataset, pairs, lambda design, y: _probit_newton(design, (y > 0).astype(float))[0]
-    )
+    return _pair_betas(dataset, pairs, _probit_batch)

@@ -80,14 +80,16 @@ def _gen_latent_cluster(
     lo, hi = design.size_range
     m = int(rng.integers(lo, hi + 1))
     scale = treated_error_scale if treated else untreated_error_scale
-    raw_u = scale * rng.standard_normal(m)
-    u = circular_ma(raw_u, design.h)
     n_cov = len(design.eta)
+    raw = np.empty((1 + n_cov, m))  # row 0 the error draws, then the covariates
+    raw[0] = scale * rng.standard_normal(m)
     if treated:
-        raw_x = rng.standard_normal((n_cov, m))
+        raw[1:] = rng.standard_normal((n_cov, m))
     else:
-        raw_x = _chi2_centered(rng, (n_cov, m))
-    x = circular_ma(raw_x, design.h).T  # (m, n_cov)
+        raw[1:] = _chi2_centered(rng, (n_cov, m))
+    # one smoothing of all rows: each row's sums are the same as on its own
+    smooth = circular_ma(raw, design.h)
+    u, x = smooth[0], smooth[1:].T  # x is (m, n_cov)
     latent = (
         design.theta0
         + design.beta * float(treated)

@@ -40,6 +40,11 @@ TABLE_BITS = 12
 # masks take O(DRAW_ROWS * q) memory however many are drawn.
 DRAW_ROWS = 1 << 14
 
+# Consecutive blocks of enumerated sums are joined up to this many rows, so
+# the elementwise steps run once per 65,536 assignments rather than once per
+# prefix block of at most 924.
+FUSE_ROWS = 1 << 16
+
 # (v,) for the unadjusted statistic and (v, v * v) for the adjusted one, or
 # those summed over the treated clusters of each assignment
 Moments = tuple[np.ndarray, ...]
@@ -125,6 +130,28 @@ def _enumerated_sums(moments: Moments, q1: int) -> Iterator[Moments]:
         yield tuple(
             m[treated].sum() + s for m, s in zip(moments, suffix[len(combo)])
         )
+
+
+def _fused(blocks: Iterable[Moments], rows: int = FUSE_ROWS) -> Iterator[Moments]:
+    """Consecutive blocks joined into blocks of at most ``rows`` rows (a
+    longer block passes alone), in order."""
+    pending: list[Moments] = []
+    count = 0
+    for block in blocks:
+        size = block[0].shape[0]
+        if pending and count + size > rows:
+            yield _joined(pending)
+            pending, count = [], 0
+        pending.append(block)
+        count += size
+    if pending:
+        yield _joined(pending)
+
+
+def _joined(blocks: list[Moments]) -> Moments:
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _subsampled_masks(
@@ -286,7 +313,7 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
                 f"{ENUMERATION_CAP}; use subsampling (max_assignments) instead"
             )
         n = total
-        blocks = _enumerated_sums(moments, layout.q1)
+        blocks = _fused(_enumerated_sums(moments, layout.q1))
     return _statistics(moments, blocks, n, layout.q1)
 
 

@@ -4,15 +4,15 @@ Each fit uses data from a single cluster only and returns one scalar: the
 regression intercept, the post-period slope, or the probit constant. Every
 linear fit, here and in ``comparators``, uses :func:`least_squares`. The
 probit fit solves the raw moment condition (indicator minus link), not the
-likelihood score, via damped Newton iteration; it is the only fit that
-loads ``scipy.special``, when it first runs.
+likelihood score, via damped Newton iteration. :func:`probit_newton_batch`
+runs many such fits at once, each to the same bits as on its own. Only the
+probit code loads ``scipy.special``, when it first runs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .model import (
     ClusterDataset,
     EstimateVector,
     EstimationError,
+    FewClustersError,
     RankDeficient,
     Separation,
     NoConvergence,
@@ -80,81 +81,225 @@ def did_slope(cluster: Cluster) -> FitResult:
     return FitResult(theta=float(coef[1]), nuisance=nuisance, iterations=0)
 
 
-def _moment(ndtr, design: np.ndarray, y01: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The probit moment at index z = design @ beta, with the link ``ndtr``."""
-    resid = y01 - ndtr(z)
-    return design.T @ resid / design.shape[0]
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
-def _jacobian(design: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Derivative of the moment at index z = design @ beta."""
-    dens = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)  # standard normal density
-    return -(design.T * dens) @ design / design.shape[0]
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it."""
-    return math.sqrt(v.dot(v))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, p) array."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 def probit_moment(design: np.ndarray, y01: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Sample moment: mean of design-row times (success indicator minus link)."""
     from scipy.special import ndtr
 
-    return _moment(ndtr, design, y01, design @ beta)
+    return design.T @ (y01 - ndtr(design @ beta)) / design.shape[0]
 
 
 def probit_moment_jacobian(
     design: np.ndarray, y01: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """Exact derivative of the moment with respect to the parameters."""
-    return _jacobian(design, design @ beta)
+    density = np.exp(-((design @ beta) ** 2) / 2.0) / _SQRT_2PI
+    return -(design.T * density) @ design / design.shape[0]
 
 
-def _probit_newton(design: np.ndarray, y01: np.ndarray) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration on the probit moment condition from zero.
+class _Work:
+    """The probit fits still iterating, their designs zero-padded to M rows.
 
-    The index z = design @ beta of the accepted step feeds the next Jacobian.
+    ``xt`` (p, k, M) holds the design columns, each a contiguous run of M,
+    so every step runs over long rows. A padded row is zero in ``xt`` and
+    ``y``, so it adds only exact zeros. The index comes from an einsum that
+    sums over the p columns in the same order for every row, and the moment
+    and Jacobian from one matrix product with ``xt``'s transpose; so each
+    fit gets the same bits whatever the padding and the other fits of the
+    batch. On OpenBLAS 0.3.31 a BLAS matrix-vector product, for the index
+    or for the moment, changed bits with the padding.
     """
-    # imported here, once per fit, so that the linear fits never load scipy
-    from scipy.special import ndtr
 
-    beta = np.zeros(design.shape[1])
-    z = design @ beta
-    psi = _moment(ndtr, design, y01, z)
-    psi_norm = _norm(psi)
-    for iteration in range(1, MAX_NEWTON_ITER + 1):
-        if psi_norm < MOMENT_TOL:
-            return beta, iteration - 1
-        jac = _jacobian(design, z)
+    def __init__(self, ndtr, xt, y, m, ids):
+        self.ndtr, self.xt, self.y, self.m, self.ids = ndtr, xt, y, m, ids
+        self.jac_scale = (-_SQRT_2PI * m)[:, None, None]
+        self.m_col, self.right = m[:, None], xt.transpose(1, 2, 0)
+
+    def keep(self, kept: np.ndarray) -> "_Work":
+        """The fits at positions ``kept``, copied and padded to their own
+        largest m. ``np.take`` keeps ``xt`` in (p, k, M) order; a fancy-index
+        gather does not, and that made every later step a third slower."""
+        rows = int(self.m[kept].max())
+        return _Work(
+            self.ndtr,
+            np.take(self.xt[:, :, :rows], kept, axis=1),
+            np.take(self.y[:, :rows], kept, axis=0),
+            self.m[kept],
+            self.ids[kept],
+        )
+
+    def evaluate(self, beta: np.ndarray):
+        """Moments, their norms and the products g at each row of beta (k, p).
+
+        With x the (M, p) design of a fit and z = x @ beta its index,
+        g = [exp(-z**2 / 2) * x.T ; y - link(z)] @ x: one product gives
+        g[:, :p], which is -m * sqrt(2 pi) times the Jacobian, and g[:, p],
+        which is m times the moment.
+        """
+        p = beta.shape[1]
+        z = np.einsum("pkm,kp->km", self.xt, beta)
+        terms = np.empty((p + 1,) + z.shape)
+        kernel = z * z
+        kernel *= -0.5
+        np.multiply(self.xt, np.exp(kernel, out=kernel), out=terms[:p])
+        np.subtract(self.y, self.ndtr(z), out=terms[p])
+        return self.products(terms)
+
+    def products(self, terms: np.ndarray):
+        """The moments, their norms and g from the (p + 1, k, M) terms."""
+        g = terms.transpose(1, 0, 2) @ self.right
+        psi = g[:, -1] / self.m_col
+        return psi, _norms(psi), g
+
+
+def _newton_steps(jac: np.ndarray, psi: np.ndarray, failed: dict) -> np.ndarray:
+    """Solve jac @ step = -psi for each fit; a singular Jacobian gives a zero
+    step and its RankDeficient error in ``failed``, by position."""
+    rhs = -psi[:, :, None]
+    try:
+        return np.linalg.solve(jac, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(psi)
+    for j in range(jac.shape[0]):
         try:
-            step = np.linalg.solve(jac, -psi)
+            steps[j] = np.linalg.solve(jac[j : j + 1], rhs[j : j + 1])[0, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"singular probit Jacobian: {exc}") from exc
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = beta + scale * step
-            cand_z = design @ candidate
-            cand_psi = _moment(ndtr, design, y01, cand_z)
-            cand_norm = _norm(cand_psi)
-            if cand_norm < psi_norm:
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("probit step halving failed to reduce the moment")
-        beta, z, psi, psi_norm = candidate, cand_z, cand_psi, cand_norm
-        if abs(beta[0]) > THETA_SEPARATION_BOUND:
-            raise Separation(
+            failed[j] = RankDeficient(f"singular probit Jacobian: {exc}")
+    return steps
+
+
+def _halve(work: _Work, j: int, beta: np.ndarray, step: np.ndarray, norm: float):
+    """Fit j's first step of 2**-1 .. 2**-MAX_HALVINGS times ``step`` that
+    lowers its moment norm below ``norm``: (beta, psi, norm, g), or None."""
+    one, scale = work.keep(np.array([j])), 1.0
+    for _ in range(MAX_HALVINGS):
+        scale *= 0.5
+        trial = beta[j : j + 1] + scale * step[j : j + 1]
+        psi, trial_norm, g = one.evaluate(trial)
+        if trial_norm[0] < norm:
+            return trial[0], psi[0], trial_norm[0], g[0]
+    return None
+
+
+def _escapes(beta: np.ndarray, failed: dict) -> None:
+    """Put the error of each fit whose constant escaped past the separation
+    bound, or whose coefficients diverged, in ``failed``, by position."""
+    separated = np.abs(beta[:, 0]) > THETA_SEPARATION_BOUND
+    for j in np.flatnonzero(separated | (_norms(beta) > PARAM_DIVERGENCE_NORM)):
+        if separated[j]:
+            error = Separation(
                 f"probit constant escaped past {THETA_SEPARATION_BOUND}; "
                 "outcomes are likely separated"
             )
-        if _norm(beta) > PARAM_DIVERGENCE_NORM:
-            raise NoConvergence("probit parameters diverged")
-    if psi_norm < MOMENT_TOL:
-        return beta, MAX_NEWTON_ITER
-    raise NoConvergence(
-        f"probit moment norm {psi_norm:.2e} after {MAX_NEWTON_ITER} iterations"
-    )
+        else:
+            error = NoConvergence("probit parameters diverged")
+        failed.setdefault(j, error)
+
+
+def probit_newton_batch(
+    designs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, list[Optional[FewClustersError]]]:
+    """Damped Newton from zero on the probit moment conditions of k fits.
+
+    Design i is (m_i, p), with the same p for every fit, and ys[i] holds its
+    0/1 outcomes. Each fit halves its own step until its moment norm falls
+    and stops on its own; the next Jacobian reuses the accepted step's
+    index. Returns the (k, p) coefficients, the (k,) iteration counts and,
+    per fit, None or the error that stopped it (its coefficients are then
+    meaningless). A fit's result does not depend on the other fits.
+    """
+    # imported here, once per batch, so that the linear fits never load scipy
+    from scipy.special import ndtr
+
+    k, p = len(designs), designs[0].shape[1]
+    m = np.array([d.shape[0] for d in designs])
+    terms = np.zeros((p + 1, k, m.max()))  # the design columns, then y - 1/2
+    y = np.zeros((k, m.max()))
+    for i, (design, y01) in enumerate(zip(designs, ys)):
+        terms[:p, i, : m[i]] = design.T
+        y[i, : m[i]] = y01
+    np.subtract(y, 0.5, out=terms[p])
+    work = _Work(ndtr, terms[:p], y, m.astype(float), np.arange(k))
+    betas = np.zeros((k, p))
+    iterations = np.zeros(k, dtype=int)
+    errors: list[Optional[FewClustersError]] = [None] * k
+    beta = np.zeros((k, p))
+    # a fit whose coefficients all lie within ``screen`` has neither escaped
+    # past the separation bound nor diverged: its norm is at most
+    # sqrt(p) * screen, half the divergence norm
+    screen = min(THETA_SEPARATION_BOUND, PARAM_DIVERGENCE_NORM / (2 * np.sqrt(p)))
+    # at beta = 0 every index is 0, so exp(-z**2 / 2) is 1 and the link 1/2
+    psi, norm, g = work.products(terms)
+    for done_steps in range(MAX_NEWTON_ITER + 1):
+        failed: dict[int, FewClustersError] = {}
+        if done_steps:
+            step = _newton_steps(g[:, :p] / work.jac_scale, psi, failed)
+            candidate = beta + step
+            cand_psi, cand_norm, cand_g = work.evaluate(candidate)
+            lower = cand_norm < norm
+            if not lower.all():
+                # the rare path: only these fits halve their steps
+                for j in np.flatnonzero(~lower):
+                    halved = None if j in failed else _halve(work, j, beta, step, norm[j])
+                    if halved is not None:
+                        candidate[j], cand_psi[j], cand_norm[j], cand_g[j] = halved
+                    else:
+                        failed.setdefault(j, NoConvergence(
+                            "probit step halving failed to reduce the moment"
+                        ))
+            beta, psi, norm, g = candidate, cand_psi, cand_norm, cand_g
+            if np.abs(beta).max() > screen:
+                _escapes(beta, failed)
+        stop = norm < MOMENT_TOL
+        if done_steps == MAX_NEWTON_ITER:
+            for j in np.flatnonzero(~stop):
+                failed.setdefault(j, NoConvergence(
+                    f"probit moment norm {norm[j]:.2e} after {MAX_NEWTON_ITER} iterations"
+                ))
+        if failed:
+            stop[list(failed)] = True
+        if not stop.any():
+            continue
+        # the stopped fits leave the work arrays
+        for j in np.flatnonzero(stop):
+            i = work.ids[j]
+            betas[i], iterations[i], errors[i] = beta[j], done_steps, failed.get(j)
+        if stop.all():
+            break
+        kept = np.flatnonzero(~stop)
+        work = work.keep(kept)
+        beta, psi, norm, g = beta[kept], psi[kept], norm[kept], g[kept]
+    return betas, iterations, errors
+
+
+def _probit_fits(clusters: Sequence[Cluster]) -> list[FitResult | FewClustersError]:
+    """``probit_z_estimate`` of each cluster; a failed fit gives its error.
+
+    The clusters whose outcomes take both values are fitted as one batch.
+    """
+    results: list = [None] * len(clusters)
+    batch = []
+    for i, cluster in enumerate(clusters):
+        y01 = (cluster.outcomes > 0).astype(float)
+        if y01.min() == y01.max():
+            results[i] = Separation("constant binary outcome")
+        else:
+            design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
+            batch.append((i, design, y01))
+    if batch:
+        index, designs, ys = zip(*batch)
+        betas, iterations, errors = probit_newton_batch(designs, ys)
+        for i, beta, n, error in zip(index, betas, iterations, errors):
+            results[i] = error or FitResult(float(beta[0]), beta[1:], int(n))
+    return results
 
 
 def probit_z_estimate(cluster: Cluster) -> FitResult:
@@ -164,12 +309,10 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
     outcome values must be present, otherwise the moment condition has no
     zero and a Separation error is raised.
     """
-    y01 = (cluster.outcomes > 0).astype(float)
-    if y01.min() == y01.max():
-        raise Separation("constant binary outcome")
-    design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
-    beta, iterations = _probit_newton(design, y01)
-    return FitResult(theta=float(beta[0]), nuisance=beta[1:], iterations=iterations)
+    (fit,) = _probit_fits([cluster])
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 _METHODS: dict[str, Callable[[Cluster], FitResult]] = {
@@ -179,10 +322,21 @@ _METHODS: dict[str, Callable[[Cluster], FitResult]] = {
 }
 
 
+def _one_by_one(fit: Callable[[Cluster], FitResult], clusters: Sequence[Cluster]):
+    """``fit`` of each cluster in turn, or the error it raised."""
+    for cluster in clusters:
+        try:
+            yield fit(cluster)
+        except Exception as exc:
+            yield exc
+
+
 def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:
     """Apply a per-cluster fit to every cluster in canonical order.
 
-    Fails fast on the first per-cluster error, naming the offending cluster.
+    The probit fits run as one batch. The first failing cluster in
+    canonical order raises EstimationError naming it; the linear fits stop
+    there.
     """
     try:
         fit = _METHODS[method]
@@ -190,10 +344,13 @@ def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
         ) from None
+    if method == "probit":
+        fits = _probit_fits(dataset.clusters)
+    else:
+        fits = _one_by_one(fit, dataset.clusters)
     values = np.empty(dataset.layout.q)
-    for i, cluster in enumerate(dataset.clusters):
-        try:
-            values[i] = fit(cluster).theta
-        except Exception as exc:
-            raise EstimationError(cluster.id, exc) from exc
+    for i, (cluster, result) in enumerate(zip(dataset.clusters, fits)):
+        if isinstance(result, Exception):
+            raise EstimationError(cluster.id, result) from result
+        values[i] = result.theta
     return EstimateVector(values=values, layout=dataset.layout)

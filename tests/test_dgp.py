@@ -6,6 +6,8 @@ import pytest
 from fewclusters.dgp import (
     LinearDesign,
     ProbitDesign,
+    _chi2_centered,
+    _spawned_rngs,
     circular_ma,
     gen_did_panel,
     gen_linear,
@@ -195,6 +197,45 @@ class TestGenProbit:
         a = gen_probit(ProbitDesign(), seed=3)
         b = gen_probit(ProbitDesign(), seed=3)
         assert same_data(a, b)
+
+
+def two_call_cluster(design, k, rng, untreated_error_scale):
+    """One cluster's latent outcome and covariates, the errors and the
+    covariates smoothed by separate ``circular_ma`` calls."""
+    treated = k < design.q1
+    lo, hi = design.size_range
+    m = int(rng.integers(lo, hi + 1))
+    scale = 1.0 if treated else untreated_error_scale
+    u = circular_ma(scale * rng.standard_normal(m), design.h)
+    n_cov = len(design.eta)
+    if treated:
+        raw_x = rng.standard_normal((n_cov, m))
+    else:
+        raw_x = _chi2_centered(rng, (n_cov, m))
+    x = circular_ma(raw_x, design.h).T
+    latent = design.theta0 + design.beta * float(treated) + x @ np.asarray(design.eta) + u
+    return latent, x
+
+
+class TestOneSmoothingPerCluster:
+    @pytest.mark.parametrize("h", [0, 1, 10, 14])
+    def test_linear_and_probit_match_two_calls(self, h):
+        # one circular_ma call on the stacked (1 + d, m) draws gives the
+        # bits of the two calls it replaced, for every shipped kind of design
+        designs = [
+            (gen_linear, LinearDesign(q1=2, q0=3, h=h, beta=0.5), float(np.sqrt(2.0))),
+            (gen_linear, LinearDesign(q1=1, q0=1, h=h, eta=(0.5,)), float(np.sqrt(2.0))),
+            (gen_probit, ProbitDesign(q1=2, q0=2, h=h, beta=0.3, size_range=(15, 40)), 1.0),
+        ]
+        for seed in range(5):
+            for generate, design, untreated_scale in designs:
+                ds = generate(design, seed)
+                rngs = _spawned_rngs(seed, design.q1 + design.q0)
+                for k, cluster in enumerate(ds):
+                    latent, x = two_call_cluster(design, k, rngs[k], untreated_scale)
+                    y = latent if generate is gen_linear else (latent > 0).astype(float)
+                    assert np.array_equal(cluster.outcomes, y)
+                    assert np.array_equal(cluster.covariate_matrix, x)
 
 
 class TestGenDidPanel:

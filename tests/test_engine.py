@@ -142,6 +142,38 @@ class TestStreamedEnumeration:
                         ref.astype(np.int64) @ weights.astype(np.int64),
                     )
 
+    def test_statistics_do_not_depend_on_the_blocks(self):
+        # the same treated sums split into blocks of 1, 924 and 65,536 rows,
+        # and as the fused blocks of placebo_distribution, give the same bits
+        rng = np.random.default_rng(53)
+        for q1, q0 in ((7, 7), (8, 6)):
+            for v in (rng.normal(size=q1 + q0), np.r_[np.ones(q1), rng.normal(size=q0)]):
+                for adjusted in (True, False):
+                    moments = (v, v * v) if adjusted else (v,)
+                    sums = [np.concatenate(parts) for parts in
+                            zip(*engine._enumerated_sums(moments, q1))]
+                    n = sums[0].shape[0]
+                    results = [
+                        engine._statistics(
+                            moments,
+                            (tuple(s[i : i + rows] for s in sums) for i in range(0, n, rows)),
+                            n,
+                            q1,
+                        )
+                        for rows in (1, 924, 65_536)
+                    ]
+                    cfg = TestConfig(adjustment="adjusted" if adjusted else "unadjusted")
+                    results.append(placebo_distribution(vec(v, q1), cfg))
+                    for stats in results[1:]:
+                        np.testing.assert_array_equal(stats, results[0])
+
+    def test_fused_blocks_keep_order_and_size(self):
+        blocks = [(np.arange(i, i + size, dtype=float),) for i, size in
+                  zip(itertools.accumulate([0, 3, 5, 2, 7, 1]), [3, 5, 2, 7, 1, 4])]
+        fused = list(engine._fused(blocks, rows=8))
+        assert [b[0].shape[0] for b in fused] == [8, 2, 8, 4]
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in fused]), np.arange(22.0))
+
     def test_bit_rows_match_product(self):
         for n in range(1, 9):
             np.testing.assert_array_equal(

@@ -1,19 +1,27 @@
 """Tests for the per-cluster OLS, DiD, and probit estimators."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fewclusters import estimators
 from fewclusters.estimators import (
     MAX_NEWTON_ITER,
     MOMENT_TOL,
-    _probit_newton,
+    _probit_fits,
     estimate_all,
     did_slope,
     least_squares,
     ols_intercept,
     probit_moment,
     probit_moment_jacobian,
+    probit_newton_batch,
     probit_z_estimate,
 )
 from fewclusters.model import (
@@ -183,10 +191,11 @@ class TestProbit:
             ) / (2 * step)
             np.testing.assert_allclose(jac[:, j], fd, rtol=1e-6, atol=1e-9)
 
-    def test_newton_bitwise_equal_to_public_moment_loop(self):
-        # the fit reuses the accepted step's index and takes norms as
-        # sqrt(v.v); a loop on the public moment, Jacobian and
-        # np.linalg.norm must give the same bits and iteration count
+    def test_newton_matches_public_moment_loop(self):
+        # the batched fit takes the moment and the Jacobian from one product
+        # and sums in another order; a loop on the public moment, Jacobian
+        # and np.linalg.norm must give the same iteration count and the same
+        # coefficients to rel 1e-9
         def reference(design, y01):
             beta = np.zeros(design.shape[1])
             psi = probit_moment(design, y01, beta)
@@ -214,9 +223,10 @@ class TestProbit:
             latent = rng.normal(scale=0.5) + x @ rng.normal(scale=0.5, size=k)
             y01 = (latent + rng.normal(size=m) > 0).astype(float)
             design = np.column_stack([np.ones(m), x])
-            beta, iterations = _probit_newton(design, y01)
+            (beta,), (iterations,), (error,) = probit_newton_batch([design], [y01])
             expected, expected_iterations = reference(design, y01)
-            assert beta.tolist() == expected.tolist()
+            assert error is None
+            np.testing.assert_allclose(beta, expected, rtol=1e-9, atol=0)
             assert iterations == expected_iterations
 
     def test_rmse_shrinks_with_sample_size(self):
@@ -232,6 +242,89 @@ class TestProbit:
             return np.sqrt(np.mean(np.square(errs)))
 
         assert rmse(400, 3) < rmse(100, 4)
+
+
+BATCH_SCRIPT = """
+import numpy as np
+from fewclusters import estimate_all, gen_probit, probit_z_estimate
+from fewclusters.comparators import pair_beta_probit, pair_clusters
+from fewclusters.dgp import ProbitDesign
+fits = mismatches = 0
+for seed in range(24):
+    # 12 clusters of 350-500 rows and p = 6; 6 pairs of 700-1000 rows and p = 7
+    ds = gen_probit(ProbitDesign(q1=6, q0=6, beta=0.05 * (seed % 10)), seed)
+    batch = estimate_all(ds, "probit").values
+    one = np.array([probit_z_estimate(c).theta for c in ds])
+    pairs = pair_clusters(ds, "random", seed)
+    pair_batch = pair_beta_probit(ds, pairs)
+    pair_one = np.array([pair_beta_probit(ds, [pair])[0] for pair in pairs])
+    mismatches += int((batch != one).sum() + (pair_batch != pair_one).sum())
+    fits += batch.size + pair_batch.size
+print(fits, mismatches)
+"""
+
+# today's messages of the three ways a probit fit fails
+FAILURE_MESSAGES = {
+    "singular": "singular probit Jacobian: Singular matrix",
+    "constant": "constant binary outcome",
+    "separating": "probit constant escaped past 20.0; outcomes are likely separated",
+}
+
+
+def probit_cluster(kind, name, treated, rng, m=400):
+    x = rng.normal(size=(m, 2))
+    if kind == "singular":  # a duplicated covariate column
+        x[:, 1] = x[:, 0]
+        y = x[:, 0] + rng.normal(size=m) > 0
+    elif kind == "constant":
+        y = np.ones(m)
+    elif kind == "separating":  # the first covariate splits the outcomes
+        x *= [30.0, 1.0]
+        y = x[:, 0] > 15.0
+    else:
+        y = 0.2 + x @ [0.5, -0.3] + rng.normal(size=m) > 0
+    return Cluster.from_arrays(name, treated, np.asarray(y, dtype=float), covariates=x)
+
+
+class TestProbitBatch:
+    def test_batch_equals_batch_of_one_at_one_and_two_blas_threads(self):
+        # padding a fit's rows and batching it with others must not change
+        # a bit, however OpenBLAS splits its work
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", BATCH_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=300, check=True,
+            )
+            assert proc.stdout.split() == ["432", "0"]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(FAILURE_MESSAGES)))
+    def test_first_failing_cluster_is_named(self, order):
+        rng = np.random.default_rng(67)
+        kinds = ["good", *order, "good", "good"]
+        ds = validate_dataset(
+            [probit_cluster(kind, f"c{i}", i < 3, rng) for i, kind in enumerate(kinds)]
+        )
+        with pytest.raises(EstimationError) as info:
+            estimate_all(ds, "probit")
+        message = FAILURE_MESSAGES[order[0]]
+        assert info.value.cluster_id == "c1"
+        assert str(info.value.cause) == message
+        assert str(info.value) == f"estimation failed for cluster 'c1': {message}"
+
+    def test_survivors_match_batch_of_one(self):
+        rng = np.random.default_rng(71)
+        kinds = ["good", "singular", "good", "constant", "separating", "good"]
+        clusters = [probit_cluster(kind, f"c{i}", True, rng) for i, kind in enumerate(kinds)]
+        for kind, cluster, fit in zip(kinds, clusters, _probit_fits(clusters)):
+            if kind != "good":
+                assert str(fit) == FAILURE_MESSAGES[kind]
+                continue
+            one = probit_z_estimate(cluster)
+            assert fit.theta == one.theta
+            assert fit.nuisance.tolist() == one.nuisance.tolist()
+            assert fit.iterations == one.iterations
 
 
 class TestEstimateAll:
