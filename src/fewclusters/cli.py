@@ -49,7 +49,11 @@ def read_csv_dataset(path) -> ClusterDataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty CSV")
-        fields = [f.strip() for f in reader.fieldnames]
+        # rows are read under the same stripped names the checks below see
+        reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
+        duplicates = sorted({f for f in fields if fields.count(f) > 1})
+        if duplicates:
+            raise DataError(f"{path}: duplicate columns {duplicates}")
         for required in ("cluster_id", "treated", "outcome"):
             if required not in fields:
                 raise DataError(f"{path}: missing required column {required!r}")

@@ -4,7 +4,8 @@ Implemented here: the two-sample t test on per-cluster estimates, the
 sign-change permutation test on matched-pair estimates, pooled OLS with a
 cluster-robust variance estimator (CRVE), the t(q-1) test based on it, and
 the wild cluster bootstrap with 6-point weights and the null imposed. Their
-least-squares fits use ``estimators.least_squares`` and its rank rule.
+designs come from ``estimators.stacked_design``, and their fits from the
+estimators' one fit path and its rank rule.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import least_squares, probit_newton_batch
+from .estimators import least_squares, stacked_design, thetas
 from .model import (
-    Cluster,
     ClusterDataset,
     EstimateVector,
-    EstimationError,
     FewClustersError,
     GroupTooSmall,
     RankDeficient,
@@ -189,27 +188,6 @@ def crs_sign_test(
     )
 
 
-def _pooled_design(
-    clusters: Sequence[Cluster],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack (intercept, treatment dummy, covariates), outcomes, cluster sizes."""
-    blocks = [
-        np.column_stack(
-            [
-                np.ones(c.size),
-                np.full(c.size, 1.0 if c.treated else 0.0),
-                c.covariate_matrix,
-            ]
-        )
-        for c in clusters
-    ]
-    return (
-        np.vstack(blocks),
-        np.concatenate([c.outcomes for c in clusters]),
-        np.asarray([c.size for c in clusters]),
-    )
-
-
 # clusters whose right-hand sides share one solve for ``a`` in pooled_regression,
 # so its memory grows with n * A_BLOCK, not n * q
 A_BLOCK = 16
@@ -277,7 +255,8 @@ def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     ``a`` are solved A_BLOCK clusters at a time. RankDeficient
     when n <= d, which leaves the CRVE no degrees of freedom.
     """
-    design, y, sizes = _pooled_design(dataset.clusters)
+    design, y = stacked_design(dataset.clusters, "treated")
+    sizes = np.array([c.size for c in dataset.clusters])
     n, d = design.shape
     if n <= d:
         raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
@@ -374,46 +353,18 @@ def wild_bootstrap_pooled(
     )
 
 
-def _pair_betas(dataset: ClusterDataset, pairs, fits) -> np.ndarray:
-    """Coefficient 1 (the treatment dummy) of each pair's pooled fit.
-
-    ``fits(designs, ys)`` gives each pair's coefficients or its error; the
-    first failing pair raises EstimationError naming both clusters.
-    """
-    clusters = [(dataset.clusters[ti], dataset.clusters[ui]) for ti, ui in pairs]
-    designs, ys, _ = zip(*(_pooled_design(pair) for pair in clusters))
-    betas = np.empty(len(pairs))
-    for i, (pair, coef) in enumerate(zip(clusters, fits(designs, ys))):
-        if isinstance(coef, FewClustersError):
-            raise EstimationError(pair[0].id, coef, partner=pair[1].id) from coef
-        betas[i] = coef[1]
-    return betas
-
-
-def _least_squares_each(designs, ys):
-    """least_squares of each design in turn, or the error it raised."""
-    for design, y in zip(designs, ys):
-        try:
-            yield least_squares(design, y)
-        except FewClustersError as exc:
-            yield exc
-
-
 def pair_beta_ols(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
-    return _pair_betas(dataset, pairs, _least_squares_each)
-
-
-def _probit_batch(designs, ys):
-    """The probit fits of all pairs as one batch: coefficients or the error."""
-    betas, _, errors = probit_newton_batch(designs, [(y > 0).astype(float) for y in ys])
-    return [error or beta for beta, error in zip(betas, errors)]
+    groups = [(dataset.clusters[t], dataset.clusters[u]) for t, u in pairs]
+    return thetas(groups, "treated")
 
 
 def pair_beta_probit(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """Per-pair treatment coefficient from a probit fit of each matched pair."""
-    return _pair_betas(dataset, pairs, _probit_batch)
+    """Per-pair treatment coefficient from a probit fit of each matched pair;
+    a pair with a constant outcome in either cluster fails with Separation."""
+    groups = [(dataset.clusters[t], dataset.clusters[u]) for t, u in pairs]
+    return thetas(groups, "treated", probit=True)

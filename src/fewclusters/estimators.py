@@ -1,18 +1,20 @@
-"""Per-cluster estimators feeding the placebo test.
+"""Per-cluster estimators feeding the placebo test, and the one fit path.
 
-Each fit uses data from a single cluster only and returns one scalar: the
+Every fit, per cluster, per matched pair or pooled, takes its design from
+:func:`stacked_design`, and :func:`fit_groups` gives each group of clusters
+its coefficients or its error. A per-cluster fit returns one scalar: the
 regression intercept, the post-period slope, or the probit constant. Every
-linear fit, here and in ``comparators``, uses :func:`least_squares`. The
-probit fit solves the raw moment condition (indicator minus link), not the
-likelihood score, via damped Newton iteration. :func:`probit_newton_batch`
-runs many such fits at once, each to the same bits as on its own. Only the
-probit code loads ``scipy.special``, when it first runs.
+linear fit uses :func:`least_squares`. The probit fit solves the raw moment
+condition (indicator minus link), not the likelihood score, via damped
+Newton iteration. :func:`probit_newton_batch` runs many such fits at once,
+each to the same bits as on its own. Only the probit code loads
+``scipy.special``, when it first runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,27 +60,31 @@ def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return coef
 
 
-def ols_intercept(cluster: Cluster) -> FitResult:
-    """Intercept of the within-cluster regression of outcome on covariates."""
-    x = cluster.covariate_matrix
-    design = np.column_stack([np.ones(cluster.size), x])
-    coef = least_squares(design, cluster.outcomes)
-    return FitResult(theta=float(coef[0]), nuisance=coef[1:], iterations=0)
+def stacked_design(
+    clusters: Sequence[Cluster], dummy: Optional[str] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design and the outcomes of the clusters' rows, stacked in order.
 
-
-def did_slope(cluster: Cluster) -> FitResult:
-    """Coefficient on the post-period dummy in the within-cluster regression.
-
-    The regression is outcome on (1, post, covariates); the constant plays
-    the role of the cluster fixed effect.
+    The design's columns are the intercept, the dummy and the covariates;
+    ``dummy`` is None (no column), "post" (the post-period flags, else
+    MissingPeriodFlag) or "treated". Both arrays are allocated once.
     """
-    post = cluster.post_flags
-    design = np.column_stack(
-        [np.ones(cluster.size), post, cluster.covariate_matrix]
-    )
-    coef = least_squares(design, cluster.outcomes)
-    nuisance = np.concatenate([coef[:1], coef[2:]])  # fixed effect first
-    return FitResult(theta=float(coef[1]), nuisance=nuisance, iterations=0)
+    lead = {None: 1, "post": 2, "treated": 2}[dummy]
+    n = sum(c.size for c in clusters)
+    design = np.empty((n, lead + clusters[0].covariate_dim))
+    design[:, 0] = 1.0
+    y = np.empty(n)
+    start = 0
+    for c in clusters:
+        rows = slice(start, start + c.size)
+        if dummy == "post":
+            design[rows, 1] = c.post_flags
+        elif dummy == "treated":
+            design[rows, 1] = c.treated
+        design[rows, lead:] = c.covariate_matrix
+        y[rows] = c.outcomes
+        start = rows.stop
+    return design, y
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -280,26 +286,94 @@ def probit_newton_batch(
     return betas, iterations, errors
 
 
-def _probit_fits(clusters: Sequence[Cluster]) -> list[FitResult | FewClustersError]:
-    """``probit_z_estimate`` of each cluster; a failed fit gives its error.
+def _successes(group: Sequence[Cluster], y: np.ndarray) -> np.ndarray:
+    """0/1 indicators of the group's stacked outcomes y, a strictly positive
+    one a success; Separation unless each cluster has both values."""
+    y01 = (y > 0).astype(float)
+    starts = np.cumsum([0] + [c.size for c in group[:-1]])
+    if np.any(np.minimum.reduceat(y01, starts) == np.maximum.reduceat(y01, starts)):
+        raise Separation("constant binary outcome")
+    return y01
 
-    The clusters whose outcomes take both values are fitted as one batch.
+
+def fit_groups(
+    groups: Sequence[Sequence[Cluster]], dummy: Optional[str] = None, probit: bool = False
+) -> list[tuple[np.ndarray, int] | FewClustersError]:
+    """Each group's coefficients and Newton iterations, or the error that
+    stopped its fit; a failed fit never raises.
+
+    A group, one cluster or the two of a matched pair, is fitted on its
+    :func:`stacked_design` by :func:`least_squares` or by probit. A probit
+    group needs both outcome values in each cluster: the intercept and the
+    dummy span each cluster's indicator, so a constant outcome leaves the
+    moment condition no zero. The others run as one probit_newton_batch.
     """
-    results: list = [None] * len(clusters)
+    fits: list = [None] * len(groups)
     batch = []
-    for i, cluster in enumerate(clusters):
-        y01 = (cluster.outcomes > 0).astype(float)
-        if y01.min() == y01.max():
-            results[i] = Separation("constant binary outcome")
-        else:
-            design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
-            batch.append((i, design, y01))
+    for i, group in enumerate(groups):
+        try:
+            design, y = stacked_design(group, dummy)
+            if probit:
+                batch.append((i, design, _successes(group, y)))
+            else:
+                fits[i] = (least_squares(design, y), 0)
+        except FewClustersError as exc:
+            fits[i] = exc
     if batch:
         index, designs, ys = zip(*batch)
         betas, iterations, errors = probit_newton_batch(designs, ys)
         for i, beta, n, error in zip(index, betas, iterations, errors):
-            results[i] = error or FitResult(float(beta[0]), beta[1:], int(n))
-    return results
+            fits[i] = error or (beta, int(n))
+    return fits
+
+
+def thetas(
+    groups: Sequence[Sequence[Cluster]], dummy: Optional[str] = None, probit: bool = False
+) -> np.ndarray:
+    """θ of each group's fit: the dummy's coefficient, or the intercept when
+    there is no dummy. The first failed fit raises EstimationError naming its
+    cluster, and a pair's partner."""
+    theta = 0 if dummy is None else 1
+    values = np.empty(len(groups))
+    for i, (group, fit) in enumerate(zip(groups, fit_groups(groups, dummy, probit))):
+        if isinstance(fit, FewClustersError):
+            partner = group[1].id if len(group) > 1 else None
+            raise EstimationError(group[0].id, fit, partner) from fit
+        values[i] = fit[0][theta]
+    return values
+
+
+# estimator -> (dummy, probit) of its per-cluster fit
+ESTIMATORS: dict[str, tuple[Optional[str], bool]] = {
+    "ols_intercept": (None, False),
+    "did_slope": ("post", False),
+    "probit": (None, True),
+}
+
+
+def _fit_one(estimator: str, cluster: Cluster) -> FitResult:
+    """The estimator's fit of one cluster; a failed fit raises its own error."""
+    dummy, probit = ESTIMATORS[estimator]
+    (fit,) = fit_groups([(cluster,)], dummy, probit)
+    if isinstance(fit, FewClustersError):
+        raise fit
+    theta = 0 if dummy is None else 1
+    # the other coefficients, the intercept (the fixed effect) first
+    return FitResult(float(fit[0][theta]), np.delete(fit[0], theta), fit[1])
+
+
+def ols_intercept(cluster: Cluster) -> FitResult:
+    """Intercept of the within-cluster regression of outcome on covariates."""
+    return _fit_one("ols_intercept", cluster)
+
+
+def did_slope(cluster: Cluster) -> FitResult:
+    """Coefficient on the post-period dummy in the within-cluster regression.
+
+    The regression is outcome on (1, post, covariates); the constant plays
+    the role of the cluster fixed effect.
+    """
+    return _fit_one("did_slope", cluster)
 
 
 def probit_z_estimate(cluster: Cluster) -> FitResult:
@@ -309,48 +383,17 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
     outcome values must be present, otherwise the moment condition has no
     zero and a Separation error is raised.
     """
-    (fit,) = _probit_fits([cluster])
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
-
-
-_METHODS: dict[str, Callable[[Cluster], FitResult]] = {
-    "ols_intercept": ols_intercept,
-    "did_slope": did_slope,
-    "probit": probit_z_estimate,
-}
-
-
-def _one_by_one(fit: Callable[[Cluster], FitResult], clusters: Sequence[Cluster]):
-    """``fit`` of each cluster in turn, or the error it raised."""
-    for cluster in clusters:
-        try:
-            yield fit(cluster)
-        except Exception as exc:
-            yield exc
+    return _fit_one("probit", cluster)
 
 
 def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:
-    """Apply a per-cluster fit to every cluster in canonical order.
-
-    The probit fits run as one batch. The first failing cluster in
-    canonical order raises EstimationError naming it; the linear fits stop
-    there.
-    """
+    """Apply a per-cluster fit to every cluster in canonical order, the probit
+    fits as one batch; the first failing cluster raises EstimationError."""
     try:
-        fit = _METHODS[method]
+        dummy, probit = ESTIMATORS[method]
     except KeyError:
         raise ValueError(
-            f"unknown method {method!r}; expected one of {sorted(_METHODS)}"
+            f"unknown method {method!r}; expected one of {sorted(ESTIMATORS)}"
         ) from None
-    if method == "probit":
-        fits = _probit_fits(dataset.clusters)
-    else:
-        fits = _one_by_one(fit, dataset.clusters)
-    values = np.empty(dataset.layout.q)
-    for i, (cluster, result) in enumerate(zip(dataset.clusters, fits)):
-        if isinstance(result, Exception):
-            raise EstimationError(cluster.id, result) from result
-        values[i] = result.theta
+    values = thetas([(c,) for c in dataset.clusters], dummy, probit)
     return EstimateVector(values=values, layout=dataset.layout)

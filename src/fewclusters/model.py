@@ -175,7 +175,7 @@ class Cluster:
     def post_flags(self) -> np.ndarray:
         """0/1 post-period indicators; raises if the cluster has none."""
         if self.post is None:
-            raise MissingPeriodFlag(f"cluster {self.id!r} has no post indicator")
+            raise MissingPeriodFlag("no post indicator")
         return self.post
 
 

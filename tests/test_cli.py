@@ -90,6 +90,25 @@ class TestReadCsv:
         with pytest.raises(DataError, match="inconsistent"):
             read_csv_dataset(p)
 
+    def test_header_names_with_spaces(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(
+            "cluster_id, treated, outcome, x1\n"
+            "a,1,1.0,0.1\na,1,2.0,0.3\nb,0,3.0,0.5\nb,0,3.5,0.2\n"
+        )
+        ds = read_csv_dataset(p)
+        assert [c.outcomes.tolist() for c in ds] == [[1.0, 2.0], [3.0, 3.5]]
+        assert ds.clusters[1].covariate_matrix.tolist() == [[0.5], [0.2]]
+
+    @pytest.mark.parametrize("header", ["cluster_id,treated,outcome,x1,x1",
+                                        "cluster_id,treated,outcome,outcome"])
+    def test_duplicate_columns_named(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        p.write_text(header + "\n")
+        duplicate = header.rsplit(",", 1)[1]
+        with pytest.raises(DataError, match=rf"duplicate columns \['{duplicate}'\]"):
+            read_csv_dataset(p)
+
     def test_post_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(
@@ -319,6 +338,31 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert "constant binary outcome" in err
         assert err.count("'c00'") == 1
+
+    def test_did_without_post_column_names_cluster_once(self, tmp_path, capsys):
+        argv = ["test", "--input", str(write_csv(tmp_path / "d.csv")), "--estimator", "did"]
+        assert main(argv) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.strip() == "error: estimation failed for cluster 'c0': no post indicator"
+
+    def test_pair_probit_with_constant_cluster_fails(self, tmp_path, capsys):
+        # c00's outcomes are all one, so its pair's moment condition has no
+        # zero and crs has no estimate for that pair
+        rng = np.random.default_rng(5)
+        rows = [
+            f"c{k:02d},{int(k < 3)},{1.0 if k == 0 else float(rng.normal() > 0)!r}"
+            for k in range(6)
+            for _ in range(400)
+        ]
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(["cluster_id,treated,outcome", *rows]) + "\n")
+        argv = ["test", "--input", str(p), "--method", "crs", "--estimator", "probit",
+                "--pairing", "by_size"]
+        assert main(argv) == EXIT_DATA_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cluster 'c00' paired with 'c0" in err
+        assert err.strip().endswith("constant binary outcome")
 
     @pytest.mark.parametrize("method", ["bch", "wildboot"])
     def test_constant_outcomes_not_rejected(self, tmp_path, capsys, method):

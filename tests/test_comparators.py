@@ -22,12 +22,11 @@ from fewclusters.comparators import (
     webb_weights,
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
-    _pooled_design,
     _sign_flip_statistics,
     _signed_ratio,
     _student_t_decision,
 )
-from fewclusters.estimators import least_squares
+from fewclusters.estimators import least_squares, stacked_design
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
@@ -447,7 +446,8 @@ class TestBlockedSolve:
     @staticmethod
     def unblocked_a(dataset):
         """``a`` from one solve with all q right-hand sides."""
-        design, y, sizes = _pooled_design(dataset.clusters)
+        design, y = stacked_design(dataset.clusters, "treated")
+        sizes = np.array([c.size for c in dataset.clusters])
         restricted = np.delete(design, 1, axis=1)
         rhs = np.column_stack([y, design[:, 1]])
         u = (rhs - restricted @ least_squares(restricted, rhs))[:, 0]

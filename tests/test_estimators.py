@@ -11,18 +11,21 @@ import pytest
 from scipy.stats import norm
 
 from fewclusters import estimators
+from fewclusters.comparators import pair_beta_ols, pair_beta_probit, pair_clusters
+from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
 from fewclusters.estimators import (
     MAX_NEWTON_ITER,
     MOMENT_TOL,
-    _probit_fits,
     estimate_all,
     did_slope,
+    fit_groups,
     least_squares,
     ols_intercept,
     probit_moment,
     probit_moment_jacobian,
     probit_newton_batch,
     probit_z_estimate,
+    stacked_design,
 )
 from fewclusters.model import (
     Cluster,
@@ -317,14 +320,16 @@ class TestProbitBatch:
         rng = np.random.default_rng(71)
         kinds = ["good", "singular", "good", "constant", "separating", "good"]
         clusters = [probit_cluster(kind, f"c{i}", True, rng) for i, kind in enumerate(kinds)]
-        for kind, cluster, fit in zip(kinds, clusters, _probit_fits(clusters)):
+        fits = fit_groups([(c,) for c in clusters], probit=True)
+        for kind, cluster, fit in zip(kinds, clusters, fits):
             if kind != "good":
                 assert str(fit) == FAILURE_MESSAGES[kind]
                 continue
+            coef, iterations = fit
             one = probit_z_estimate(cluster)
-            assert fit.theta == one.theta
-            assert fit.nuisance.tolist() == one.nuisance.tolist()
-            assert fit.iterations == one.iterations
+            assert coef[0] == one.theta
+            assert coef[1:].tolist() == one.nuisance.tolist()
+            assert iterations == one.iterations
 
 
 class TestEstimateAll:
@@ -364,3 +369,96 @@ class TestEstimateAll:
         )
         with pytest.raises(ValueError):
             estimate_all(ds, "ridge")
+
+
+def with_post(dataset):
+    """The dataset's clusters with alternating pre and post rows."""
+    return validate_dataset(
+        [
+            Cluster.from_arrays(
+                c.id, c.treated, c.outcomes, c.covariate_matrix, np.arange(c.size) % 2
+            )
+            for c in dataset
+        ]
+    )
+
+
+def one_fit_path_dataset(estimator, seed):
+    if estimator == "probit":
+        return gen_probit(ProbitDesign(q1=3, q0=3, h=2, beta=0.3), seed)
+    ds = gen_linear(LinearDesign(q1=3, q0=3, h=2, beta=0.5), seed)
+    return with_post(ds) if estimator == "did_slope" else ds
+
+
+PUBLIC_FITS = {
+    "ols_intercept": ols_intercept,
+    "did_slope": did_slope,
+    "probit": probit_z_estimate,
+}
+
+
+class TestOneFitPath:
+    @pytest.mark.parametrize("estimator", list(PUBLIC_FITS))
+    def test_estimate_all_equals_per_cluster_fits(self, estimator):
+        for seed in range(4):
+            ds = one_fit_path_dataset(estimator, seed)
+            one = [PUBLIC_FITS[estimator](c).theta for c in ds]
+            assert estimate_all(ds, estimator).values.tolist() == one
+
+    @pytest.mark.parametrize("pair_beta", [pair_beta_ols, pair_beta_probit])
+    def test_pair_betas_equal_one_pair_calls(self, pair_beta):
+        for seed in range(4):
+            estimator = "probit" if pair_beta is pair_beta_probit else "ols_intercept"
+            ds = one_fit_path_dataset(estimator, seed)
+            pairs = pair_clusters(ds, "random", seed)
+            one = [pair_beta(ds, [pair])[0] for pair in pairs]
+            assert pair_beta(ds, pairs).tolist() == one
+
+    @pytest.mark.parametrize("dummy", [None, "post", "treated"])
+    def test_stacked_design_equals_column_stack_forms(self, dummy):
+        ds = with_post(gen_linear(LinearDesign(q1=2, q0=2, h=2), 9))
+        for group in [ds.clusters[:1], ds.clusters[1:3], ds.clusters]:
+            blocks = []
+            for c in group:
+                columns = [np.ones(c.size)]
+                if dummy == "post":
+                    columns.append(c.post)
+                elif dummy == "treated":
+                    columns.append(np.full(c.size, 1.0 if c.treated else 0.0))
+                blocks.append(np.column_stack([*columns, c.covariate_matrix]))
+            design, y = stacked_design(group, dummy)
+            assert design.tolist() == np.vstack(blocks).tolist()
+            assert y.tolist() == np.concatenate([c.outcomes for c in group]).tolist()
+
+    def test_failed_fits_are_values(self):
+        good = Cluster.from_arrays("g", True, [1.0, 2.0, 4.0], post=[0, 1, 1])
+        flat = Cluster.from_arrays("f", True, [1.0, 2.0, 4.0], post=[1, 1, 1])
+        bare = Cluster.from_arrays("b", True, [1.0, 2.0, 4.0])
+        fits = fit_groups([(good,), (flat,), (bare,)], "post")
+        assert fits[0][0].tolist() == least_squares(
+            np.column_stack([np.ones(3), good.post]), good.outcomes
+        ).tolist()
+        assert isinstance(fits[1], RankDeficient)
+        assert isinstance(fits[2], MissingPeriodFlag)
+        assert str(fits[2]) == "no post indicator"
+
+    def test_pair_probit_with_a_constant_cluster_fails(self):
+        # with c0's outcomes all one, the pair's moment condition has no zero:
+        # a finite coefficient would come from the moment tolerance, not the data
+        rng = np.random.default_rng(11)
+        kinds = ["constant", "good", "good", "good", "good", "good"]
+        ds = validate_dataset(
+            [probit_cluster(kind, f"c{i}", i < 3, rng) for i, kind in enumerate(kinds)]
+        )
+        fits = fit_groups([(ds.clusters[0], ds.clusters[3])], "treated", probit=True)
+        assert str(fits[0]) == "constant binary outcome"
+        with pytest.raises(EstimationError) as info:
+            pair_beta_probit(ds, [(1, 4), (0, 3), (2, 5)])
+        assert (info.value.cluster_id, info.value.partner) == ("c0", "c3")
+        assert isinstance(info.value.cause, Separation)
+        # the untreated side constant fails the same way
+        flipped = validate_dataset(
+            [probit_cluster(kind, f"c{i}", i >= 3, rng) for i, kind in enumerate(kinds)]
+        )
+        with pytest.raises(EstimationError, match="constant binary outcome"):
+            pair_beta_probit(flipped, pair_clusters(flipped, "by_size"))
