@@ -70,6 +70,14 @@ def read_csv_dataset(path) -> ClusterDataset:
         # cluster id -> (treated, outcomes, covariate rows, post flags)
         columns: dict[str, tuple[bool, list, list, list]] = {}
         for row_num, row in enumerate(reader, start=2):
+            # DictReader files the cells past the header under the key None,
+            # and gives the columns past a short row's last cell None
+            extra, missing = len(row.pop(None, ())), list(row.values()).count(None)
+            if extra or missing:
+                raise DataError(
+                    f"{path}: malformed row {row_num}: "
+                    f"{len(fields) + extra - missing} cells, the header has {len(fields)}"
+                )
             try:
                 cid = row["cluster_id"].strip()
                 treated = _parse_binary(row["treated"], "treated", row_num)

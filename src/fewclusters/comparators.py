@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import least_squares, stacked_design, thetas
+from .estimators import qr_factors, solve_factors, stacked_design, thetas
 from .model import (
     ClusterDataset,
     EstimateVector,
@@ -138,17 +138,6 @@ def _signed_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where((den == 0.0) & (num == 0.0), 0.0, ratio)
 
 
-def _sign_flip_statistics(beta_hats: np.ndarray) -> np.ndarray:
-    """The matched-pair statistic under every sign vector, identity first."""
-    # bit row r set where sign vector r keeps a sign: all +1 first, the last
-    # pair flipping fastest
-    signs = np.where(engine.bit_rows(beta_hats.shape[0]), 1.0, -1.0)
-    flipped = signs * beta_hats
-    means = flipped.mean(axis=1)
-    denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
-    return _signed_ratio(means, denom)
-
-
 def crs_sign_test(
     beta_hats: Sequence[float],
     alpha: float,
@@ -161,10 +150,27 @@ def crs_sign_test(
     nonrandomized decision uses the ascending-quantile rule; the randomized
     variant draws one uniform against the tie-splitting test function.
     """
+    return sign_flip_test(sign_flip_statistics(beta_hats), alpha, randomized, seed)
+
+
+def sign_flip_statistics(beta_hats: Sequence[float]) -> np.ndarray:
+    """The matched-pair statistic under every sign vector, identity first."""
     b = np.asarray(beta_hats, dtype=float)
     if b.shape[0] < 2:
         raise FewClustersError("sign test needs at least two pair estimates")
-    values = _sign_flip_statistics(b)
+    # bit row r set where sign vector r keeps a sign: all +1 first, the last
+    # pair flipping fastest
+    signs = np.where(engine.bit_rows(b.shape[0]), 1.0, -1.0)
+    flipped = signs * b
+    means = flipped.mean(axis=1)
+    denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
+    return _signed_ratio(means, denom)
+
+
+def sign_flip_test(
+    values: np.ndarray, alpha: float, randomized: bool = False, seed: Optional[int] = None
+) -> TestResult:
+    """:func:`crs_sign_test` on the sign-flip distribution ``values``."""
     observed = float(values[0])
     c, delta = engine.randomized_threshold(values, alpha)
     p = engine.p_value(observed, values)
@@ -186,11 +192,6 @@ def crs_sign_test(
         randomized_threshold=delta,
         warnings=warnings,
     )
-
-
-# clusters whose right-hand sides share one solve for ``a`` in pooled_regression,
-# so its memory grows with n * A_BLOCK, not n * q
-A_BLOCK = 16
 
 
 def crve_dof_factor(n: int, d: int, q: int) -> float:
@@ -246,36 +247,55 @@ class PooledRegression:
 def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     """Pooled OLS of outcome on (1, treatment, covariates), per-cluster sums.
 
-    The restricted fit (treatment dummy D dropped) of [y, D] leaves u and
-    D~, so g = D~ / (D~'D~) by Frisch-Waugh; column k of ``a`` is the full
-    fit of u_k in cluster k's rows and 0 elsewhere. Residuals within
+    One least-squares solve gives the fit's coefficients b and S = R^-1,
+    R the QR factor of the design X, so (X'X)^-1 = S S'. With v = S S' e_1,
+    g = X v, and by Frisch-Waugh g = D~ / (D~'D~) with D~ the treatment
+    dummy's residual on the other columns, so D~'D~ = 1 / v_1. The
+    restricted fit (dummy dropped) has the coefficients b - (b_1 / v_1) v,
+    with the dummy's set to 0, and leaves the residuals u. Then
+    a = S S' [X_k'u_k]_k, in O(n * d) memory. Residuals within
     n * eps * max|y| of zero are rounding noise of outcomes the restricted
     regressors fit exactly (constant outcomes, say); they are set to zero,
-    so the t statistic and every bootstrap draw of it are 0. Columns of
-    ``a`` are solved A_BLOCK clusters at a time. RankDeficient
-    when n <= d, which leaves the CRVE no degrees of freedom.
+    so the t statistic and every bootstrap draw of it are 0. RankDeficient
+    when n <= d, which leaves the CRVE no degrees of freedom, or when the
+    rank rule of ``estimators.least_squares`` fails.
     """
-    design, y = stacked_design(dataset.clusters, "treated")
-    sizes = np.array([c.size for c in dataset.clusters])
-    n, d = design.shape
-    if n <= d:
-        raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
-    restricted = np.delete(design, 1, axis=1)
-    rhs = np.column_stack([y, design[:, 1]])
-    u, d_tilde = (rhs - restricted @ least_squares(restricted, rhs)).T
+    return pooled_regressions([dataset])[0]
+
+
+def pooled_regressions(datasets: Sequence[ClusterDataset]) -> list[PooledRegression]:
+    """:func:`pooled_regression` of each dataset, the solves of all of them
+    as one batch: each regression has the bits it has alone. Any dataset
+    whose fit fails raises its RankDeficient."""
+    designs, ys = zip(*(stacked_design(d.clusters, "treated") for d in datasets))
+    for design in designs:
+        n, d = design.shape
+        if n <= d:
+            raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
+    solutions, failed = solve_factors(qr_factors(designs, ys))
+    if failed.any():
+        raise RankDeficient("design matrix is rank deficient")
+    return [
+        _pooled_sums(dataset, design, y, solution)
+        for dataset, design, y, solution in zip(datasets, designs, ys, solutions)
+    ]
+
+
+def _pooled_sums(
+    dataset: ClusterDataset, design: np.ndarray, y: np.ndarray, solution: np.ndarray
+) -> PooledRegression:
+    """The per-cluster sums of :func:`pooled_regression` from its solve."""
+    n = design.shape[0]
+    b, inverse = solution[:, 0], solution[:, 1:]
+    v = inverse @ inverse[1]
+    restricted = b - b[1] / v[1] * v
+    restricted[1] = 0.0
+    u = y - design @ restricted
     if np.max(np.abs(u)) <= n * np.finfo(float).eps * np.max(np.abs(y)):
         u = np.zeros(n)
-    q = sizes.shape[0]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    starts = bounds[:-1]
-    a = np.empty((d, q))
-    for lo in range(0, q, A_BLOCK):
-        hi = min(lo + A_BLOCK, q)
-        rows = np.arange(bounds[lo], bounds[hi])
-        u_blocks = np.zeros((n, hi - lo))
-        u_blocks[rows, np.repeat(np.arange(hi - lo), sizes[lo:hi])] = u[rows]
-        a[:, lo:hi] = least_squares(design, u_blocks)
-    g = d_tilde / (d_tilde @ d_tilde)
+    starts = np.cumsum([0] + [c.size for c in dataset.clusters[:-1]])
+    a = inverse @ (inverse.T @ np.add.reduceat(design * u[:, None], starts).T)
+    g = design @ v
     h = np.add.reduceat(g * u, starts)
     t = np.add.reduceat(design * g[:, None], starts)
     return PooledRegression(h, t, a, n)
@@ -357,8 +377,7 @@ def pair_beta_ols(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
-    groups = [(dataset.clusters[t], dataset.clusters[u]) for t, u in pairs]
-    return thetas(groups, "treated")
+    return pair_betas([dataset], [pairs])[0]
 
 
 def pair_beta_probit(
@@ -366,5 +385,21 @@ def pair_beta_probit(
 ) -> np.ndarray:
     """Per-pair treatment coefficient from a probit fit of each matched pair;
     a pair with a constant outcome in either cluster fails with Separation."""
-    groups = [(dataset.clusters[t], dataset.clusters[u]) for t, u in pairs]
-    return thetas(groups, "treated", probit=True)
+    return pair_betas([dataset], [pairs], probit=True)[0]
+
+
+def pair_betas(
+    datasets: Sequence[ClusterDataset],
+    pairs: Sequence[Sequence[tuple[int, int]]],
+    probit: bool = False,
+) -> list[np.ndarray]:
+    """:func:`pair_beta_ols` (or :func:`pair_beta_probit`) of each dataset
+    and its pairs, the fits of all of them as one batch: each coefficient
+    has the bits it has alone."""
+    groups = [
+        (d.clusters[t], d.clusters[u]) for d, matched in zip(datasets, pairs)
+        for t, u in matched
+    ]
+    values = thetas(groups, "treated", probit)
+    bounds = np.cumsum([0] + [len(matched) for matched in pairs])
+    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

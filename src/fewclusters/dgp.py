@@ -10,6 +10,7 @@ keep the clusters heterogeneous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,24 +44,35 @@ class ProbitDesign:
     size_range: tuple[int, int] = (350, 500)
 
 
-def circular_ma(source: np.ndarray, h: int) -> np.ndarray:
+def circular_ma(
+    source: np.ndarray, h: int, sizes: Optional[Sequence[int]] = None
+) -> np.ndarray:
     """Mean of h+1 consecutive entries with circular wraparound.
 
     Operates along the last axis; entry i averages positions i..i+h modulo
     the length. h=0 returns the input, h=m-1 the overall mean everywhere.
+    With ``sizes``, row k of the first axis holds sizes[k] entries, zero
+    padded after them: each row wraps over its own length, with the same
+    additions in the same order as on its own, and its padding is left as
+    meaningless values.
     """
     source = np.asarray(source, dtype=float)
-    m = source.shape[-1]
+    width = source.shape[-1]
+    m = width if sizes is None else min(sizes)
     if not 0 <= h <= m - 1:
         raise HOutOfRange(f"h must lie in [0, {m - 1}], got {h}")
     if h == 0:
         return source.copy()
     # padded[..., j:j + m] is np.roll(source, -j): the same additions in order
     padded = np.concatenate([source, source[..., :h]], axis=-1)
+    if sizes is not None:
+        for k, size in enumerate(sizes):
+            padded[k, ..., size : size + h] = source[k, ..., :h]
     out = source.copy()
     for j in range(1, h + 1):
-        out += padded[..., j : j + m]
-    return out / (h + 1)
+        out += padded[..., j : j + width]
+    out /= h + 1
+    return out
 
 
 def _chi2_centered(rng: np.random.Generator, size) -> np.ndarray:
@@ -69,40 +81,54 @@ def _chi2_centered(rng: np.random.Generator, size) -> np.ndarray:
     return z[0] ** 2 + z[1] ** 2 - 2.0
 
 
-def _gen_latent_cluster(
-    design: LinearDesign | ProbitDesign,
-    k: int,
-    rng: np.random.Generator,
-    treated_error_scale: float,
-    untreated_error_scale: float,
-) -> tuple[bool, np.ndarray, np.ndarray]:
-    treated = k < design.q1
+def _gen_latent(
+    design: LinearDesign | ProbitDesign, seed, untreated_error_scale: float
+) -> list[tuple[bool, np.ndarray, np.ndarray]]:
+    """Each cluster's treatment flag, latent outcome and (m, d) covariates.
+
+    Cluster k draws its size, its errors and then its covariates from the
+    k-th child stream of the seed, so generation order cannot change the
+    data. All clusters are smoothed by one ``circular_ma`` call over their
+    zero-padded (q, 1 + d, M) draws, each over its own length.
+    """
+    q = design.q1 + design.q0
+    rngs = _spawned_rngs(seed, q)
     lo, hi = design.size_range
-    m = int(rng.integers(lo, hi + 1))
-    scale = treated_error_scale if treated else untreated_error_scale
+    sizes = [int(rng.integers(lo, hi + 1)) for rng in rngs]
     n_cov = len(design.eta)
-    raw = np.empty((1 + n_cov, m))  # row 0 the error draws, then the covariates
-    raw[0] = scale * rng.standard_normal(m)
-    if treated:
-        raw[1:] = rng.standard_normal((n_cov, m))
-    else:
-        raw[1:] = _chi2_centered(rng, (n_cov, m))
-    # one smoothing of all rows: each row's sums are the same as on its own
-    smooth = circular_ma(raw, design.h)
-    u, x = smooth[0], smooth[1:].T  # x is (m, n_cov)
-    latent = (
-        design.theta0
-        + design.beta * float(treated)
-        + x @ np.asarray(design.eta)
-        + u
-    )
-    return treated, latent, x
+    raw = np.zeros((q, 1 + n_cov, max(sizes)))  # row 0 the errors, then the covariates
+    for k, (rng, m) in enumerate(zip(rngs, sizes)):
+        if k < design.q1:
+            raw[k, 0, :m] = rng.standard_normal(m)
+            raw[k, 1:, :m] = rng.standard_normal((n_cov, m))
+        else:
+            raw[k, 0, :m] = untreated_error_scale * rng.standard_normal(m)
+            raw[k, 1:, :m] = _chi2_centered(rng, (n_cov, m))
+    smooth = circular_ma(raw, design.h, sizes)
+    eta = np.asarray(design.eta)
+    clusters = []
+    for k, m in enumerate(sizes):
+        treated = k < design.q1
+        u, x = smooth[k, 0, :m], smooth[k, 1:, :m].T  # x is (m, n_cov)
+        latent = design.theta0 + design.beta * float(treated) + x @ eta + u
+        clusters.append((treated, latent, x))
+    return clusters
 
 
 def _spawned_rngs(seed, count: int) -> list[np.random.Generator]:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return [np.random.default_rng(s) for s in seed.spawn(count)]
+
+
+def _dataset(design: LinearDesign | ProbitDesign, clusters) -> ClusterDataset:
+    return ClusterDataset(
+        clusters=tuple(
+            Cluster.from_arrays(f"c{k:02d}", treated, y, x)
+            for k, (treated, y, x) in enumerate(clusters)
+        ),
+        layout=ClusterLayout(q1=design.q1, q0=design.q0),
+    )
 
 
 def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
@@ -114,30 +140,14 @@ def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
     Each cluster gets an independent child stream of the seed, so generation
     order cannot change the data.
     """
-    q = design.q1 + design.q0
-    rngs = _spawned_rngs(seed, q)
-    clusters = []
-    for k in range(q):
-        treated, y, x = _gen_latent_cluster(
-            design, k, rngs[k], 1.0, float(np.sqrt(2.0))
-        )
-        clusters.append(Cluster.from_arrays(f"c{k:02d}", treated, y, x))
-    return ClusterDataset(
-        clusters=tuple(clusters), layout=ClusterLayout(q1=design.q1, q0=design.q0)
-    )
+    return _dataset(design, _gen_latent(design, seed, float(np.sqrt(2.0))))
 
 
 def gen_probit(design: ProbitDesign, seed: int) -> ClusterDataset:
     """Generate binary outcomes: 1 when the latent linear outcome is positive."""
-    q = design.q1 + design.q0
-    rngs = _spawned_rngs(seed, q)
-    clusters = []
-    for k in range(q):
-        treated, latent, x = _gen_latent_cluster(design, k, rngs[k], 1.0, 1.0)
-        y = (latent > 0).astype(float)
-        clusters.append(Cluster.from_arrays(f"c{k:02d}", treated, y, x))
-    return ClusterDataset(
-        clusters=tuple(clusters), layout=ClusterLayout(q1=design.q1, q0=design.q0)
+    latent = _gen_latent(design, seed, 1.0)
+    return _dataset(
+        design, [(treated, (y > 0).astype(float), x) for treated, y, x in latent]
     )
 
 

@@ -3,11 +3,12 @@
 Every fit, per cluster, per matched pair or pooled, takes its design from
 :func:`stacked_design`, and :func:`fit_groups` gives each group of clusters
 its coefficients or its error. A per-cluster fit returns one scalar: the
-regression intercept, the post-period slope, or the probit constant. Every
-linear fit uses :func:`least_squares`. The probit fit solves the raw moment
-condition (indicator minus link), not the likelihood score, via damped
-Newton iteration. :func:`probit_newton_batch` runs many such fits at once,
-each to the same bits as on its own. Only the probit code loads
+regression intercept, the post-period slope, or the probit constant. The
+linear fits of a batch share :func:`least_squares`, a few QR calls and one
+triangular solve. The probit fit solves the raw moment condition (indicator
+minus link), not the likelihood score, via damped Newton iteration.
+:func:`probit_newton_batch` runs many such fits at once. Either way each
+fit gets the same bits as on its own. Only the probit code loads
 ``scipy.special``, when it first runs.
 """
 
@@ -45,19 +46,101 @@ class FitResult:
     iterations: int
 
 
-def least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Coefficients (p,) or (p, k) of rhs (m,) or (m, k) on the design.
+# a design whose smallest singular value is below RANK_TOL * max(largest, 1)
+# is rank deficient
+RANK_TOL = 1e-10
+
+
+def _padded_rows(m: int, columns: int) -> int:
+    """Rows of an (m, columns) block once zero padded: the next power of two
+    of max(m, columns). A block's padding depends on its own size only."""
+    return 1 << (max(m, columns) - 1).bit_length()
+
+
+def qr_factors(designs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> np.ndarray:
+    """The (k, p + 1, p + 1) R factors of the k blocks [design | y].
+
+    Each block is zero padded to :func:`_padded_rows` rows, which leaves
+    X'X and X'y as they are, and the blocks of one padded size are factored
+    by one ``np.linalg.qr`` call. LAPACK factors each block on its own, so
+    its R has the same bits in any batch.
+    """
+    c = designs[0].shape[1] + 1
+    sizes = [_padded_rows(d.shape[0], c) for d in designs]
+    r = np.empty((len(designs), c, c))
+    for size in set(sizes):
+        index = [i for i, s in enumerate(sizes) if s == size]
+        stack = np.zeros((len(index), size, c))
+        for j, i in enumerate(index):
+            m = designs[i].shape[0]
+            stack[j, :m, :-1] = designs[i]
+            stack[j, :m, -1] = ys[i]
+        # "raw" leaves R in the upper triangle of each transposed factor
+        raw, _ = np.linalg.qr(stack, mode="raw")
+        r[index] = raw[:, :, :c].swapaxes(1, 2)
+    return np.where(np.arange(c)[:, None] <= np.arange(c), r, 0.0)
+
+
+def solve_factors(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve R_x [b | S] = [R[:p, p] | I] for each (p + 1, p + 1) factor R,
+    R_x its leading (p, p) block, and apply the rank rule to R_x.
+
+    Returns the (k, p, p + 1) solutions, b the coefficients and S = R_x^-1,
+    and where the rule fails. R_x has the singular values of the design.
+    The rule fails for sure when min |r_ii|, at least the smallest singular
+    value, is below half of RANK_TOL * max(max |r_ij|, 1); and it passes for
+    sure when p max |s_ij| * max(p max |r_ij|, 1), at least max(largest,
+    1) / smallest, is at most 1 / (2 RANK_TOL). An SVD decides the rest. A
+    failing R_x is solved as the identity, so it cannot stop the batch.
+    """
+    k, c = r.shape[:2]
+    p = c - 1
+    r_x = r[:, :p, :p]
+    top = np.abs(r_x).max(axis=(1, 2))
+    floor = RANK_TOL * np.maximum(top, 1.0)
+    failed = np.abs(np.diagonal(r_x, axis1=1, axis2=2)).min(axis=1) < 0.5 * floor
+    if failed.any():
+        r_x = np.where(failed[:, None, None], np.eye(p), r_x)
+    rhs = np.zeros((k, p, c))
+    rhs[:, :, 0] = r[:, :p, p]
+    rhs[:, range(p), range(1, c)] = 1.0
+    solution = np.linalg.solve(r_x, rhs)
+    bound = p * np.abs(solution[:, :, 1:]).max(axis=(1, 2)) * np.maximum(p * top, 1.0)
+    unsure = ~failed & (2.0 * RANK_TOL * bound > 1.0)
+    if unsure.any():
+        sv = np.linalg.svd(r_x[unsure], compute_uv=False)
+        failed[unsure] = sv[:, -1] < RANK_TOL * np.maximum(sv[:, 0], 1.0)
+    return solution, failed
+
+
+def least_squares(
+    designs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
+) -> list[np.ndarray | RankDeficient]:
+    """The (p,) coefficients of each ys[i] on designs[i] (m_i, p), or the
+    RankDeficient that stops the fit; the same p for every fit.
 
     The one solver and rank rule of every linear fit: RankDeficient when
-    m < p or the smallest singular value is below 1e-10 * max(largest, 1).
+    m < p or when the smallest singular value of the design is below
+    RANK_TOL * max(largest, 1), read from the R factor of its QR. A fit's
+    result does not depend on the other fits.
     """
-    m, p = design.shape
-    if m < p:
-        raise RankDeficient(f"{m} observations cannot identify {p} coefficients")
-    coef, _, _, sv = np.linalg.lstsq(design, rhs, rcond=None)
-    if sv[-1] < 1e-10 * max(sv[0], 1.0):
-        raise RankDeficient("design matrix is rank deficient")
-    return coef
+    fits: list = [None] * len(designs)
+    kept = []
+    for i, design in enumerate(designs):
+        m, p = design.shape
+        if m < p:
+            fits[i] = RankDeficient(f"{m} observations cannot identify {p} coefficients")
+        else:
+            kept.append(i)
+    if kept:
+        r = qr_factors([designs[i] for i in kept], [ys[i] for i in kept])
+        solution, failed = solve_factors(r)
+        for j, i in enumerate(kept):
+            fits[i] = (
+                RankDeficient("design matrix is rank deficient") if failed[j]
+                else solution[j, :, 0]
+            )
+    return fits
 
 
 def stacked_design(
@@ -67,24 +150,25 @@ def stacked_design(
 
     The design's columns are the intercept, the dummy and the covariates;
     ``dummy`` is None (no column), "post" (the post-period flags, else
-    MissingPeriodFlag) or "treated". Both arrays are allocated once.
+    MissingPeriodFlag) or "treated". The design is allocated once; the
+    outcomes are one concatenation, or the cluster's own read-only array.
     """
     lead = {None: 1, "post": 2, "treated": 2}[dummy]
-    n = sum(c.size for c in clusters)
-    design = np.empty((n, lead + clusters[0].covariate_dim))
+    sizes = [c.size for c in clusters]
+    design = np.empty((sum(sizes), lead + clusters[0].covariate_dim))
     design[:, 0] = 1.0
-    y = np.empty(n)
     start = 0
-    for c in clusters:
-        rows = slice(start, start + c.size)
+    for c, m in zip(clusters, sizes):
+        rows = slice(start, start + m)
         if dummy == "post":
             design[rows, 1] = c.post_flags
         elif dummy == "treated":
             design[rows, 1] = c.treated
         design[rows, lead:] = c.covariate_matrix
-        y[rows] = c.outcomes
-        start = rows.stop
-    return design, y
+        start += m
+    if len(clusters) == 1:
+        return design, clusters[0].outcomes
+    return design, np.concatenate([c.outcomes for c in clusters])
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -303,27 +387,29 @@ def fit_groups(
     stopped its fit; a failed fit never raises.
 
     A group, one cluster or the two of a matched pair, is fitted on its
-    :func:`stacked_design` by :func:`least_squares` or by probit. A probit
-    group needs both outcome values in each cluster: the intercept and the
-    dummy span each cluster's indicator, so a constant outcome leaves the
-    moment condition no zero. The others run as one probit_newton_batch.
+    :func:`stacked_design`, all groups as one batch: by :func:`least_squares`
+    or by :func:`probit_newton_batch`. A probit group needs both outcome
+    values in each cluster: the intercept and the dummy span each cluster's
+    indicator, so a constant outcome leaves the moment condition no zero.
     """
     fits: list = [None] * len(groups)
     batch = []
     for i, group in enumerate(groups):
         try:
             design, y = stacked_design(group, dummy)
-            if probit:
-                batch.append((i, design, _successes(group, y)))
-            else:
-                fits[i] = (least_squares(design, y), 0)
+            batch.append((i, design, _successes(group, y) if probit else y))
         except FewClustersError as exc:
             fits[i] = exc
-    if batch:
-        index, designs, ys = zip(*batch)
+    if not batch:
+        return fits
+    index, designs, ys = zip(*batch)
+    if probit:
         betas, iterations, errors = probit_newton_batch(designs, ys)
         for i, beta, n, error in zip(index, betas, iterations, errors):
             fits[i] = error or (beta, int(n))
+    else:
+        for i, fit in zip(index, least_squares(designs, ys)):
+            fits[i] = fit if isinstance(fit, RankDeficient) else (fit, 0)
     return fits
 
 
@@ -387,13 +473,23 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
 
 
 def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:
-    """Apply a per-cluster fit to every cluster in canonical order, the probit
-    fits as one batch; the first failing cluster raises EstimationError."""
+    """Apply a per-cluster fit to every cluster in canonical order, all fits
+    as one batch; the first failing cluster raises EstimationError."""
+    return estimate_many([dataset], method)[0]
+
+
+def estimate_many(datasets: Sequence[ClusterDataset], method: str) -> list[EstimateVector]:
+    """:func:`estimate_all` of each dataset, the fits of all of them as one
+    batch: each estimate has the bits it has alone."""
     try:
         dummy, probit = ESTIMATORS[method]
     except KeyError:
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(ESTIMATORS)}"
         ) from None
-    values = thetas([(c,) for c in dataset.clusters], dummy, probit)
-    return EstimateVector(values=values, layout=dataset.layout)
+    values = thetas([(c,) for d in datasets for c in d.clusters], dummy, probit)
+    bounds = np.cumsum([0] + [len(d.clusters) for d in datasets])
+    return [
+        EstimateVector(values=values[lo:hi], layout=d.layout)
+        for d, lo, hi in zip(datasets, bounds[:-1], bounds[1:])
+    ]

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -137,34 +138,82 @@ def _setting(design: Design) -> Setting:
     )
 
 
-def _replication_streams(
-    master_seed: int, sweep_index: int, rep: int
-) -> dict[str, np.random.SeedSequence]:
-    root = np.random.SeedSequence(master_seed, spawn_key=(sweep_index, rep))
-    children = root.spawn(5)
-    return dict(zip(("data", "pairing", "crs_u", "bootstrap", "oracle"), children))
+class _ReplicationStreams(Mapping):
+    """The seeds of one replication, each built when first read: stream i
+    of the names below is SeedSequence(master seed, spawn_key=(sweep index,
+    rep, i)), the i-th child that SeedSequence(master seed,
+    spawn_key=(sweep index, rep)) spawns."""
+
+    NAMES = ("data", "pairing", "crs_u", "bootstrap", "oracle")
+
+    def __init__(self, master_seed: int, sweep_index: int, rep: int):
+        self._seed, self._key = master_seed, (sweep_index, rep)
+
+    def __getitem__(self, name: str) -> np.random.SeedSequence:
+        try:
+            i = self.NAMES.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+        return np.random.SeedSequence(self._seed, spawn_key=(*self._key, i))
+
+    def __iter__(self):
+        return iter(self.NAMES)
+
+    def __len__(self) -> int:
+        return len(self.NAMES)
+
+
+# replications run in groups of this many, one method at a time over the
+# group, and each fit of the group's datasets runs as one batch: each
+# method's code stays hot in the caches, and the calls are fewer
+REPLICATION_GROUP = 16
 
 
 def _run_block(spec: ExperimentSpec, block: tuple[int, int, int]) -> dict[str, int]:
-    """Reject counts per method over one (sweep index, start, stop) block."""
+    """Reject counts per method over one (sweep index, start, stop) block.
+
+    The counts are those of one replication at a time, since each
+    replication draws from its own streams; a group that fails runs again
+    one replication at a time, so that the failure raised is the first in
+    replication order.
+    """
     sweep_index, rep_start, rep_stop = block
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
     setting = _setting(design)
     generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
-    counts = {m: 0 for m in spec.methods}
-    for rep in range(rep_start, rep_stop):
-        streams = _replication_streams(spec.master_seed, sweep_index, rep)
+
+    def replication(rep: int, batch: Optional[list] = None) -> Inputs:
+        streams = _ReplicationStreams(spec.master_seed, sweep_index, rep)
         dataset = generate(design, streams["data"])
-        inputs = Inputs(
+        return Inputs(
             setting,
             dataset,
             spec.alpha,
             streams,
             spec.crs_pairing,
             bootstrap_reps=spec.bootstrap_reps,
+            batch=batch,
         )
-        for method in spec.methods:
-            counts[method] += int(TABLE[method].run(inputs).reject)
+
+    counts = {m: 0 for m in spec.methods}
+    for start in range(rep_start, rep_stop, REPLICATION_GROUP):
+        reps = range(start, min(start + REPLICATION_GROUP, rep_stop))
+        group: list[Inputs] = []
+        try:
+            group.extend(replication(rep, group) for rep in reps)
+            for method in spec.methods:
+                run = TABLE[method].run
+                counts[method] += sum(int(run(inputs).reject) for inputs in group)
+        except FewClustersError:
+            for rep in reps:
+                inputs = replication(rep)
+                for method in spec.methods:
+                    TABLE[method].run(inputs)
+            raise
+        finally:
+            # each member holds the list: emptying it frees the group now
+            # rather than at the next full garbage collection
+            group.clear()
     return counts
 
 

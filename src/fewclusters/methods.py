@@ -8,14 +8,20 @@ exist. Adding a comparator means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from . import comparators, engine, estimators
-from .model import ClusterDataset, MethodInapplicable, TestConfig, TestResult
+from .model import (
+    ClusterDataset,
+    EstimateVector,
+    MethodInapplicable,
+    TestConfig,
+    TestResult,
+)
 
 # the random streams a method may draw from, each with its own seed
 STREAMS = ("pairing", "crs_u", "bootstrap", "oracle", "subsample")
@@ -36,10 +42,13 @@ class Setting:
 class Inputs:
     """One dataset with the settings its methods share.
 
-    The per-cluster estimates, the matched-pair estimates and the pooled
-    regression are computed at most once, when a method first asks. ``seeds``
-    maps each of the STREAMS to its seed; "subsample", read only when
-    ``max_assignments`` is set, may be absent.
+    The per-cluster estimates, the matched-pair estimates, their sign-flip
+    distribution and the pooled regression are computed at most once, when
+    a method first asks. ``seeds`` maps each of the STREAMS to its seed;
+    "subsample", read only when ``max_assignments`` is set, may be absent.
+    Inputs of one setting may share a ``batch`` list, themselves included:
+    the first to ask for a fitted value then fits it for every member in one
+    batch, each value with the bits it has alone.
     """
 
     setting: Setting
@@ -49,22 +58,45 @@ class Inputs:
     pairing: str = "random"
     max_assignments: Optional[int] = None
     bootstrap_reps: int = 199
+    batch: Optional[list] = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def estimates(self):
-        return estimators.estimate_all(self.dataset, self.setting.estimator)
+    def _batched(self, name: str, fit: Callable[[list["Inputs"]], list]):
+        """The member's value ``name``, fitting it for the whole batch, as
+        ``fit`` of the members, when it is missing; kept as a cached
+        property keeps it."""
+        if name not in self.__dict__:
+            members = [i for i in self.batch or [self] if name not in i.__dict__]
+            for member, value in zip(members, fit(members)):
+                member.__dict__[name] = value
+        return self.__dict__[name]
 
-    @cached_property
+    @property
+    def estimates(self) -> EstimateVector:
+        return self._batched("estimates", lambda members: estimators.estimate_many(
+            [i.dataset for i in members], self.setting.estimator
+        ))
+
+    @property
     def pair_betas(self) -> np.ndarray:
-        seed = self.seeds["pairing"]
-        pairs = comparators.pair_clusters(self.dataset, self.pairing, seed)
-        if self.setting.estimator == "probit":
-            return comparators.pair_beta_probit(self.dataset, pairs)
-        return comparators.pair_beta_ols(self.dataset, pairs)
+        def fit(members):
+            pairs = [
+                comparators.pair_clusters(i.dataset, i.pairing, i.seeds["pairing"])
+                for i in members
+            ]
+            probit = self.setting.estimator == "probit"
+            return comparators.pair_betas([i.dataset for i in members], pairs, probit)
+
+        return self._batched("pair_betas", fit)
 
     @cached_property
+    def sign_flips(self) -> np.ndarray:
+        return comparators.sign_flip_statistics(self.pair_betas)
+
+    @property
     def regression(self) -> comparators.PooledRegression:
-        return comparators.pooled_regression(self.dataset)
+        return self._batched("regression", lambda members: comparators.pooled_regressions(
+            [i.dataset for i in members]
+        ))
 
 
 # A check gives the reason why a method does not apply in a setting, or None.
@@ -124,7 +156,7 @@ def _im(i: Inputs) -> TestResult:
 
 def _crs(i: Inputs, randomized: bool = False) -> TestResult:
     seed = i.seeds["crs_u"] if randomized else None
-    return comparators.crs_sign_test(i.pair_betas, i.alpha, randomized, seed)
+    return comparators.sign_flip_test(i.sign_flips, i.alpha, randomized, seed)
 
 
 def _wild_bootstrap(i: Inputs) -> TestResult:

@@ -132,7 +132,7 @@ class Cluster:
         m = y.shape[0]
         if m == 0:
             raise EmptyCluster(f"{name} has no observations")
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise DataError(f"{name}: outcomes contain nan or inf")
         x = np.empty((m, 0)) if self.covariate_matrix is None else self.covariate_matrix
         x = _read_only(x, RaggedCovariates, f"{name}: covariates are not a matrix")
@@ -140,7 +140,7 @@ class Cluster:
             x = x.reshape(m, 1)
         if x.ndim != 2 or x.shape[0] != m:
             raise DataError(f"{name}: covariates of shape {x.shape} for {m} outcomes")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DataError(f"{name}: covariates contain nan or inf")
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "covariate_matrix", x)
@@ -232,7 +232,7 @@ class EstimateVector:
             raise FewClustersError(
                 f"estimate vector has length {values.shape}, layout needs {self.layout.q}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise FewClustersError("estimate vector contains non-finite entries")
 
 

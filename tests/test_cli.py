@@ -168,6 +168,19 @@ class TestTestCommand:
         p.write_text("cluster_id,outcome\na,1.0\n")
         assert main(["test", "--input", str(p)]) == EXIT_DATA_ERROR
 
+    @pytest.mark.parametrize(
+        "row, cells", [("a,1,1.0,7", 4), ("a,1,1.0,7,8", 5), ("a,1", 2), ("a", 1)]
+    )
+    def test_row_cell_count_exit_code(self, tmp_path, capsys, row, cells):
+        # a row with more cells than the header lost the extra ones silently,
+        # and a one-cell row ended in a traceback
+        p = tmp_path / "d.csv"
+        p.write_text(f"cluster_id,treated,outcome\n{row}\nb,0,2.0\n")
+        code = main(["test", "--input", str(p), "--method", "placebo_unadjusted"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert f"malformed row 2: {cells} cells, the header has 3" in err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["test", "--input", str(tmp_path / "nope.csv")]) == EXIT_DATA_ERROR
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
+from fewclusters import comparators
 from fewclusters.comparators import (
-    A_BLOCK,
     WEBB_POINTS,
     bch_t_test,
     crs_sign_test,
@@ -22,11 +22,13 @@ from fewclusters.comparators import (
     webb_weights,
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
-    _sign_flip_statistics,
+    sign_flip_statistics,
     _signed_ratio,
     _student_t_decision,
 )
-from fewclusters.estimators import least_squares, stacked_design
+from fewclusters.dgp import LinearDesign, gen_linear
+from fewclusters.estimators import stacked_design
+from fewclusters.methods import TABLE, Inputs, Setting
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
@@ -176,11 +178,11 @@ class TestPairClusters:
 
 class TestCrsSignTest:
     def test_number_of_sign_vectors(self):
-        assert len(_sign_flip_statistics(np.array([1.0, 2.0, 3.0]))) == 8
+        assert len(sign_flip_statistics(np.array([1.0, 2.0, 3.0]))) == 8
 
     def test_identity_first(self):
         b = np.array([1.0, 2.0, 3.0])
-        values = _sign_flip_statistics(b)
+        values = sign_flip_statistics(b)
         expected = b.mean() / math.sqrt(np.sum((b - b.mean()) ** 2))
         assert values[0] == pytest.approx(expected)
 
@@ -192,7 +194,7 @@ class TestCrsSignTest:
             flipped = np.array(list(itertools.product((1.0, -1.0), repeat=q1))) * b
             means = flipped.mean(axis=1)
             denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
-            np.testing.assert_array_equal(_sign_flip_statistics(b), means / denom)
+            np.testing.assert_array_equal(sign_flip_statistics(b), means / denom)
 
     def test_never_rejects_at_three_pairs(self):
         # 2^3 = 8 < 1/alpha at alpha = 0.05: nonrandomized version has no power
@@ -245,6 +247,20 @@ class TestCrsSignTest:
             r2 = crs_sign_test(b * 37.5, alpha=0.10)
             assert r1.reject == r2.reject
             assert r1.p_value == pytest.approx(r2.p_value)
+
+    def test_both_methods_share_one_distribution(self, monkeypatch):
+        ds = gen_linear(LinearDesign(q1=5, q0=5, h=2), 4)
+        seeds = {"pairing": 1, "crs_u": 2}
+        inputs = Inputs(Setting("ols_intercept", 5, 5), ds, 0.1, seeds)
+        calls = []
+        monkeypatch.setattr(
+            comparators, "sign_flip_statistics",
+            lambda b: calls.append(1) or sign_flip_statistics(b),
+        )
+        plain, randomized = TABLE["crs"].run(inputs), TABLE["crs_randomized"].run(inputs)
+        assert len(calls) == 1
+        assert plain == crs_sign_test(inputs.pair_betas, 0.1)
+        assert randomized == crs_sign_test(inputs.pair_betas, 0.1, True, 2)
 
 
 class TestCrve:
@@ -441,24 +457,27 @@ class TestPooledRankRule:
 
 
 class TestBlockedSolve:
-    # pooled_regression solves for ``a`` A_BLOCK clusters at a time
+    # pooled_regression takes ``a`` from the R factor of its one QR, where an
+    # n x q right-hand side solved by lstsq once gave it
 
     @staticmethod
     def unblocked_a(dataset):
-        """``a`` from one solve with all q right-hand sides."""
+        """``a`` from one lstsq solve with all q right-hand sides."""
         design, y = stacked_design(dataset.clusters, "treated")
         sizes = np.array([c.size for c in dataset.clusters])
         restricted = np.delete(design, 1, axis=1)
-        rhs = np.column_stack([y, design[:, 1]])
-        u = (rhs - restricted @ least_squares(restricted, rhs))[:, 0]
+        u = y - restricted @ np.linalg.lstsq(restricted, y, rcond=None)[0]
         u_blocks = np.zeros((u.size, sizes.size))
         u_blocks[np.arange(u.size), np.repeat(np.arange(sizes.size), sizes)] = u
-        return least_squares(design, u_blocks)
+        return np.linalg.lstsq(design, u_blocks, rcond=None)[0]
 
     def test_one_block_is_bitwise_the_single_solve(self):
+        # within 1e-12 of the largest entry: a few entries are cancellations
+        # far below it, where another summation order moves the last digits
         ds = make_dataset(6, 6, [7 + k for k in range(12)], seed=3, n_covariates=3)
-        assert 12 <= A_BLOCK
-        assert pooled_regression(ds).a.tolist() == self.unblocked_a(ds).tolist()
+        expected = self.unblocked_a(ds)
+        error = np.abs(pooled_regression(ds).a - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max()
 
     def test_many_blocks_match_the_single_solve(self):
         q = 40
@@ -469,18 +488,29 @@ class TestBlockedSolve:
         w = webb_weights(np.random.default_rng(4), size=(q, 20))
         np.testing.assert_allclose(regression.t_stats(w), refit_t_stats(ds, w), rtol=1e-9)
 
+    @staticmethod
+    def traced_peak(dataset):
+        pooled_regression(dataset)
+        tracemalloc.start()
+        try:
+            pooled_regression(dataset)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_memory_below_one_column_per_cluster(self):
         # the old single solve held an n x q right-hand side on its own
         q, m = 64, 200
         ds = make_dataset(32, 32, [m] * q, seed=5, n_covariates=3)
-        pooled_regression(ds)
-        tracemalloc.start()
-        try:
-            pooled_regression(ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < q * m * q * 8
+        assert self.traced_peak(ds) < q * m * q * 8
+
+    def test_memory_of_order_rows_times_columns(self):
+        # 100 clusters of 200 rows: a few copies of the n x (d + 1) block,
+        # padded to 32,768 rows, and nothing that grows with n * q
+        q, m, covariates = 100, 200, 3
+        ds = make_dataset(50, 50, [m] * q, seed=6, n_covariates=covariates)
+        n, columns = q * m, 2 + covariates + 1
+        assert self.traced_peak(ds) < 8 * n * columns * 8
 
 
 class TestBchT:

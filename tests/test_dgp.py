@@ -89,6 +89,24 @@ class TestCircularMa:
             expected /= h + 1
             assert np.array_equal(circular_ma(source, h), expected)
 
+    def test_sizes_wrap_each_row_over_its_own_length(self):
+        # a zero-padded stack smoothed in one call gives each row the bits of
+        # the row smoothed on its own
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            q = int(rng.integers(1, 7))
+            sizes = [int(m) for m in rng.integers(1, 30, size=q)]
+            rows = int(rng.integers(1, 4))
+            h = int(rng.integers(0, min(sizes)))
+            source = np.zeros((q, rows, max(sizes)))
+            for k, m in enumerate(sizes):
+                source[k, :, :m] = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(rows, m))
+            out = circular_ma(source, h, sizes)
+            for k, m in enumerate(sizes):
+                assert np.array_equal(out[k, :, :m], circular_ma(source[k, :, :m], h))
+        with pytest.raises(HOutOfRange, match=r"\[0, 3\]"):
+            circular_ma(np.zeros((2, 6)), 4, [6, 4])
+
     def test_2d_matches_rowwise(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 12))

@@ -40,37 +40,125 @@ from fewclusters.model import (
 
 class TestLeastSquares:
     def test_matrix_rhs_solves_each_column(self):
+        # a batch of one design with three right-hand sides solves each
         rng = np.random.default_rng(1)
         design = rng.normal(size=(12, 4))
         rhs = rng.normal(size=(12, 3))
-        coef = least_squares(design, rhs)
-        assert coef.shape == (4, 3)
-        for k in range(3):
+        fits = least_squares([design] * 3, list(rhs.T))
+        for k, coef in enumerate(fits):
+            assert coef.shape == (4,)
             expected = np.linalg.lstsq(design, rhs[:, k], rcond=None)[0]
-            np.testing.assert_allclose(coef[:, k], expected, rtol=1e-12, atol=1e-14)
-        # residuals are orthogonal to the design
-        resid = rhs - design @ coef
-        np.testing.assert_allclose(design.T @ resid, 0.0, atol=1e-12)
+            np.testing.assert_allclose(coef, expected, rtol=1e-12, atol=1e-14)
+            # residuals are orthogonal to the design
+            np.testing.assert_allclose(design.T @ (rhs[:, k] - design @ coef), 0.0, atol=1e-12)
 
     def test_fewer_rows_than_coefficients(self):
-        with pytest.raises(RankDeficient, match="cannot identify"):
-            least_squares(np.ones((2, 3)), np.ones(2))
+        (fit,) = least_squares([np.ones((2, 3))], [np.ones(2)])
+        assert isinstance(fit, RankDeficient)
+        assert "2 observations cannot identify 3 coefficients" == str(fit)
 
     def test_nearly_collinear_columns(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=20)
         design = np.column_stack([np.ones(20), x, 2.0 * x + 1e-13 * rng.normal(size=20)])
-        with pytest.raises(RankDeficient, match="rank deficient"):
-            least_squares(design, rng.normal(size=(20, 2)))
+        (fit,) = least_squares([design], [rng.normal(size=20)])
+        assert isinstance(fit, RankDeficient)
+        assert str(fit) == "design matrix is rank deficient"
 
     def test_rank_floor_scales_with_the_design(self):
         # the rule is relative to the largest singular value above 1, so
         # rescaling a well-conditioned design by 1e6 does not trip it
         rng = np.random.default_rng(3)
         design = rng.normal(size=(10, 3))
-        least_squares(design * 1e6, np.ones(10))
-        with pytest.raises(RankDeficient):
-            least_squares(design * 1e-12, np.ones(10))
+        large, small = least_squares([design * 1e6, design * 1e-12], [np.ones(10)] * 2)
+        assert isinstance(large, np.ndarray)
+        assert isinstance(small, RankDeficient)
+
+    def test_rule_is_the_singular_value_rule(self):
+        # from well conditioned to collinear: the cheap bounds on R and the
+        # SVD they fall back on give the decision of the exact rule, away
+        # from its floor
+        rng = np.random.default_rng(4)
+        x, z, y = rng.normal(size=(3, 30))
+        decided = set()
+        for delta in np.logspace(-16, -2, 57):
+            design = np.column_stack([np.ones(30), x, x + delta * z])
+            sv = np.linalg.svd(design, compute_uv=False)
+            ratio = sv[-1] / (1e-10 * max(sv[0], 1.0))
+            if 0.5 < ratio < 2.0:
+                continue
+            (fit,) = least_squares([design], [y])
+            assert isinstance(fit, RankDeficient) == (ratio < 1.0)
+            decided.add(ratio < 1.0)
+        assert decided == {True, False}
+
+
+LINEAR_BATCH_SCRIPT = """
+import numpy as np
+from fewclusters import estimate_all, gen_linear
+from fewclusters.comparators import (
+    pair_beta_ols, pair_clusters, pooled_regression, pooled_regressions,
+)
+from fewclusters.dgp import LinearDesign
+from fewclusters.estimators import did_slope, estimate_many, ols_intercept
+from fewclusters.model import Cluster, validate_dataset
+fits = mismatches = 0
+datasets = []
+for seed in range(150):
+    # clusters of 7-70 rows pad to 8-128 rows, pairs of 14-140 to 16-256
+    ds = gen_linear(LinearDesign(q1=6, q0=6, h=2, size_range=(7, 70)), seed)
+    did = validate_dataset([
+        Cluster.from_arrays(c.id, c.treated, c.outcomes, c.covariate_matrix,
+                            np.arange(c.size) % 2)
+        for c in ds
+    ])
+    pairs = pair_clusters(ds, "random", seed)
+    datasets.append(ds)
+    for batch, one in [
+        (estimate_all(ds, "ols_intercept").values, [ols_intercept(c).theta for c in ds]),
+        (estimate_all(did, "did_slope").values, [did_slope(c).theta for c in did]),
+        (pair_beta_ols(ds, pairs), [pair_beta_ols(ds, [pair])[0] for pair in pairs]),
+    ]:
+        mismatches += int((batch != np.array(one)).sum())
+        fits += batch.size
+# the fits of many datasets as one batch: 1,800 clusters and 150 pooled fits
+for batch, ds in zip(estimate_many(datasets, "ols_intercept"), datasets):
+    mismatches += int((batch.values != estimate_all(ds, "ols_intercept").values).sum())
+for batch, ds in zip(pooled_regressions(datasets), datasets):
+    one = pooled_regression(ds)
+    mismatches += sum(int((x != y).sum()) for x, y in [(batch.h, one.h), (batch.t, one.t), (batch.a, one.a)])
+print(fits, mismatches)
+"""
+
+
+class TestLinearBatch:
+    def test_batch_equals_batch_of_one_at_one_and_two_blas_threads(self):
+        # a fit's padding depends on its own rows only, so batching it with
+        # others must not change a bit, however OpenBLAS splits its work
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", LINEAR_BATCH_SCRIPT],
+                capture_output=True, text=True, env=env, timeout=300, check=True,
+            )
+            assert proc.stdout.split() == ["4500", "0"]
+
+    def test_failed_fits_are_their_own_values(self):
+        rng = np.random.default_rng(5)
+        good = rng.normal(size=(20, 3))
+        collinear = good.copy()
+        collinear[:, 2] = 2.0 * collinear[:, 1]
+        designs = [good, good[:2], collinear, good * 1e6, good * 1e-12, good[:9]]
+        ys = [rng.normal(size=d.shape[0]) for d in designs]
+        fits = least_squares(designs, ys)
+        assert str(fits[1]) == "2 observations cannot identify 3 coefficients"
+        assert str(fits[2]) == str(fits[4]) == "design matrix is rank deficient"
+        assert all(isinstance(fits[i], RankDeficient) for i in (1, 2, 4))
+        for i in (0, 3, 5):
+            assert fits[i].tolist() == least_squares([designs[i]], [ys[i]])[0].tolist()
+            expected = np.linalg.lstsq(designs[i], ys[i], rcond=None)[0]
+            np.testing.assert_allclose(fits[i], expected, rtol=1e-9)
 
 
 class TestOlsIntercept:
@@ -436,8 +524,8 @@ class TestOneFitPath:
         bare = Cluster.from_arrays("b", True, [1.0, 2.0, 4.0])
         fits = fit_groups([(good,), (flat,), (bare,)], "post")
         assert fits[0][0].tolist() == least_squares(
-            np.column_stack([np.ones(3), good.post]), good.outcomes
-        ).tolist()
+            [np.column_stack([np.ones(3), good.post])], [good.outcomes]
+        )[0].tolist()
         assert isinstance(fits[1], RankDeficient)
         assert isinstance(fits[2], MissingPeriodFlag)
         assert str(fits[2]) == "no post indicator"

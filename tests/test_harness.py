@@ -2,12 +2,13 @@
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewclusters import comparators, harness
-from fewclusters.dgp import LinearDesign, ProbitDesign
+from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear
 from fewclusters.harness import (
     ConfigError,
     ExperimentSpec,
@@ -17,9 +18,9 @@ from fewclusters.harness import (
     emit_svg,
     run_experiment,
     spec_from_dict,
-    _replication_streams,
+    _ReplicationStreams,
 )
-from fewclusters.methods import TABLE
+from fewclusters.methods import TABLE, Method
 from fewclusters.model import EstimationError, FewClustersError, MethodInapplicable
 
 JSON_VALUES = st.recursive(
@@ -98,20 +99,79 @@ class TestSpecValidation:
 
 class TestSeeding:
     def test_streams_distinct_across_reps(self):
-        a = _replication_streams(0, 0, 0)
-        b = _replication_streams(0, 0, 1)
-        c = _replication_streams(0, 1, 0)
+        a = _ReplicationStreams(0, 0, 0)
+        b = _ReplicationStreams(0, 0, 1)
+        c = _ReplicationStreams(0, 1, 0)
         keys = {"data", "pairing", "crs_u", "bootstrap", "oracle"}
         assert set(a) == keys
         entropy = lambda s: tuple(s["data"].generate_state(4))
         assert len({entropy(a), entropy(b), entropy(c)}) == 3
 
+    def test_each_stream_is_the_spawned_child(self):
+        # a stream built on its own draws what the i-th of five spawned
+        # children draws, and the data stream spawns the same cluster streams
+        root = np.random.SeedSequence(7, spawn_key=(3, 11))
+        children = root.spawn(5)
+        streams = _ReplicationStreams(7, 3, 11)
+        for name, child in zip(["data", "pairing", "crs_u", "bootstrap", "oracle"], children):
+            assert streams[name].generate_state(8).tolist() == child.generate_state(8).tolist()
+        ours, theirs = streams["data"].spawn(3), children[0].spawn(3)
+        assert [s.generate_state(4).tolist() for s in ours] == [
+            s.generate_state(4).tolist() for s in theirs
+        ]
+        assert streams.get("subsample", 0) == 0
+
     def test_streams_reproducible(self):
-        a = _replication_streams(5, 2, 9)
-        b = _replication_streams(5, 2, 9)
+        a = _ReplicationStreams(5, 2, 9)
+        b = _ReplicationStreams(5, 2, 9)
         assert tuple(a["bootstrap"].generate_state(4)) == tuple(
             b["bootstrap"].generate_state(4)
         )
+
+
+class TestReplicationGroups:
+    @pytest.mark.parametrize("kind", ["linear", "probit"])
+    def test_groups_count_as_one_replication_at_a_time(self, monkeypatch, kind):
+        # a group fits its datasets in batches: the counts must not move
+        if kind == "linear":
+            spec = fast_spec(
+                methods=("placebo", "im", "crs", "crs_randomized", "wild_bootstrap", "bch_t"),
+                sweep_values=(0.0, 1.0),
+                replications=37,
+            )
+        else:
+            design = ProbitDesign(q1=3, q0=3, h=2, eta=(0.5,), size_range=(60, 80))
+            spec = fast_spec(
+                design=design, methods=("placebo", "im", "crs"),
+                sweep_values=(0.0, 0.3), replications=37,
+            )
+        grouped = run_experiment(spec)
+        monkeypatch.setattr(harness, "REPLICATION_GROUP", 1)
+        assert run_experiment(spec) == grouped
+
+    def test_first_failure_in_replication_order(self, monkeypatch):
+        # in one group, replication 5 fails in the first method and
+        # replication 2 in the second: one replication at a time meets
+        # replication 2's failure first, and so must the group
+        spec = fast_spec(methods=("placebo", "im"), replications=8)
+        design = harness._apply_sweep(spec.design, "beta", 0.0)
+        first = [
+            gen_linear(design, _ReplicationStreams(spec.master_seed, 0, rep)["data"])
+            .clusters[0].outcomes[0]
+            for rep in range(8)
+        ]
+
+        def failing_at(rep, name):
+            def run(inputs):
+                if inputs.dataset.clusters[0].outcomes[0] == first[rep]:
+                    raise FewClustersError(f"{name} failed at replication {rep}")
+                return TABLE["oracle"].run(inputs)
+            return Method(name, run)
+
+        monkeypatch.setitem(TABLE, "placebo", failing_at(5, "placebo"))
+        monkeypatch.setitem(TABLE, "im", failing_at(2, "im"))
+        with pytest.raises(FewClustersError, match="im failed at replication 2"):
+            run_experiment(spec)
 
 
 class TestRunExperiment:
@@ -184,17 +244,18 @@ class TestRunExperiment:
         assert table.rate("placebo", 0.0) == table.rate("placebo_unadjusted", 0.0)
 
     def test_pooled_fit_shared_by_bootstrap_and_t_test(self, monkeypatch):
+        # one regression per dataset, fitted in batches of datasets
         calls = []
-        build = comparators.pooled_regression
+        build = comparators.pooled_regressions
 
-        def counted(dataset):
-            calls.append(dataset)
-            return build(dataset)
+        def counted(datasets):
+            calls.extend(datasets)
+            return build(datasets)
 
         both = fast_spec(methods=("wild_bootstrap", "bch_t"), replications=10)
         alone = [fast_spec(methods=(m,), replications=10) for m in both.methods]
         expected = [run_experiment(spec).rows[0] for spec in alone]
-        monkeypatch.setattr(comparators, "pooled_regression", counted)
+        monkeypatch.setattr(comparators, "pooled_regressions", counted)
         assert list(run_experiment(both).rows) == expected
         assert len(calls) == 10
 
