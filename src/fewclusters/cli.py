@@ -20,12 +20,11 @@ from pathlib import Path
 from . import harness
 from .methods import STREAMS, TABLE, Inputs, Setting
 from .model import (
-    Cluster,
     ClusterDataset,
     DataError,
     FewClustersError,
     MethodInapplicable,
-    validate_dataset,
+    stack_clusters,
 )
 
 EXIT_OK = 0
@@ -43,69 +42,71 @@ def _parse_binary(raw: str, column: str, row_num: int) -> bool:
 
 
 def read_csv_dataset(path) -> ClusterDataset:
-    """Read clusters from a CSV with columns cluster_id, treated, outcome,
-    optional post, and optional covariate columns x1..xd."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty CSV")
-        # rows are read under the same stripped names the checks below see
-        reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
-        duplicates = sorted({f for f in fields if fields.count(f) > 1})
-        if duplicates:
-            raise DataError(f"{path}: duplicate columns {duplicates}")
-        for required in ("cluster_id", "treated", "outcome"):
-            if required not in fields:
-                raise DataError(f"{path}: missing required column {required!r}")
-        covariate_cols = [f for f in fields if f not in _BASE_COLUMNS]
-        expected = [f"x{i}" for i in range(1, len(covariate_cols) + 1)]
-        if sorted(covariate_cols) != sorted(expected):
-            unknown = sorted(set(covariate_cols) - set(expected))
-            raise DataError(
-                f"{path}: unknown columns {unknown}; covariates must be named x1..xd"
-            )
-        covariate_cols = expected
-        has_post = "post" in fields
+    """Read clusters from a UTF-8 CSV with columns cluster_id, treated,
+    outcome, optional post, and optional covariate columns x1..xd."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_rows(path, csv.DictReader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
 
-        # cluster id -> (treated, outcomes, covariate rows, post flags)
-        columns: dict[str, tuple[bool, list, list, list]] = {}
-        for row_num, row in enumerate(reader, start=2):
-            # DictReader files the cells past the header under the key None,
-            # and gives the columns past a short row's last cell None
-            extra, missing = len(row.pop(None, ())), list(row.values()).count(None)
-            if extra or missing:
-                raise DataError(
-                    f"{path}: malformed row {row_num}: "
-                    f"{len(fields) + extra - missing} cells, the header has {len(fields)}"
-                )
-            try:
-                cid = row["cluster_id"].strip()
-                treated = _parse_binary(row["treated"], "treated", row_num)
-                outcome = float(row["outcome"])
-                covs = tuple(float(row[c]) for c in covariate_cols)
-                post = (
-                    _parse_binary(row["post"], "post", row_num) if has_post else None
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
-            if cid not in columns:
-                columns[cid] = (treated, [], [], [])
-            flag, outcomes, covariates, posts = columns[cid]
-            if flag != treated:
-                raise DataError(
-                    f"{path}: cluster {cid!r} has inconsistent treated flags"
-                )
-            outcomes.append(outcome)
-            covariates.append(covs)
-            posts.append(post)
+
+def _read_rows(path, reader: csv.DictReader) -> ClusterDataset:
+    """The dataset of a CSV's rows, grouped by cluster id."""
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty CSV")
+    # rows are read under the same stripped names the checks below see
+    reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
+    duplicates = sorted({f for f in fields if fields.count(f) > 1})
+    if duplicates:
+        raise DataError(f"{path}: duplicate columns {duplicates}")
+    for required in ("cluster_id", "treated", "outcome"):
+        if required not in fields:
+            raise DataError(f"{path}: missing required column {required!r}")
+    covariate_cols = [f for f in fields if f not in _BASE_COLUMNS]
+    expected = [f"x{i}" for i in range(1, len(covariate_cols) + 1)]
+    if sorted(covariate_cols) != sorted(expected):
+        unknown = sorted(set(covariate_cols) - set(expected))
+        raise DataError(
+            f"{path}: unknown columns {unknown}; covariates must be named x1..xd"
+        )
+    covariate_cols = expected
+    has_post = "post" in fields
+
+    # cluster id -> (treated, outcomes, covariate rows, post flags)
+    columns: dict[str, tuple[bool, list, list, list]] = {}
+    for row_num, row in enumerate(reader, start=2):
+        # DictReader files the cells past the header under the key None,
+        # and gives the columns past a short row's last cell None
+        extra, missing = len(row.pop(None, ())), list(row.values()).count(None)
+        if extra or missing:
+            raise DataError(
+                f"{path}: malformed row {row_num}: "
+                f"{len(fields) + extra - missing} cells, the header has {len(fields)}"
+            )
+        try:
+            cid = row["cluster_id"].strip()
+            treated = _parse_binary(row["treated"], "treated", row_num)
+            outcome = float(row["outcome"])
+            covs = tuple(float(row[c]) for c in covariate_cols)
+            post = _parse_binary(row["post"], "post", row_num) if has_post else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
+        if cid not in columns:
+            columns[cid] = (treated, [], [], [])
+        flag, outcomes, covariates, posts = columns[cid]
+        if flag != treated:
+            raise DataError(f"{path}: cluster {cid!r} has inconsistent treated flags")
+        outcomes.append(outcome)
+        covariates.append(covs)
+        posts.append(post)
     if not columns:
         raise DataError(f"{path}: no data rows")
-    return validate_dataset(
-        [
-            Cluster.from_arrays(cid, flag, y, x, post if has_post else None)
-            for cid, (flag, y, x, post) in columns.items()
-        ]
-    )
+    flags, outcomes, covariates, posts = zip(*columns.values())
+    posts = posts if has_post else [None] * len(columns)
+    return stack_clusters(list(columns), flags, outcomes, covariates, posts)
 
 
 _ESTIMATORS = {"ols": "ols_intercept", "did": "did_slope", "probit": "probit"}
@@ -152,10 +153,14 @@ def _error(exc: Exception) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_DATA_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read config: {args.config}: not UTF-8 text: {exc}",
+              file=sys.stderr)
         return EXIT_DATA_ERROR
     try:
         spec = harness.spec_from_dict(raw)

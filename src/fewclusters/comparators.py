@@ -4,8 +4,9 @@ Implemented here: the two-sample t test on per-cluster estimates, the
 sign-change permutation test on matched-pair estimates, pooled OLS with a
 cluster-robust variance estimator (CRVE), the t(q-1) test based on it, and
 the wild cluster bootstrap with 6-point weights and the null imposed. Their
-designs come from ``estimators.stacked_design``, and their fits from the
-estimators' one fit path and its rank rule.
+designs come from ``estimators.stacked_design``, which reads a dataset's
+rows through its offsets, and their fits from the estimators' one fit path
+and its rank rule.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def pair_clusters(
         rng = np.random.default_rng(seed)
         untreated = [untreated[i] for i in rng.permutation(len(untreated))]
     elif strategy == "by_size":
-        treated.sort(key=lambda i: dataset.clusters[i].size)
-        untreated.sort(key=lambda i: dataset.clusters[i].size)
+        sizes = np.diff(dataset.offsets).tolist()
+        treated.sort(key=sizes.__getitem__)
+        untreated.sort(key=sizes.__getitem__)
     else:
         raise ValueError(f"unknown pairing strategy {strategy!r}")
     return list(zip(treated, untreated))
@@ -267,7 +269,8 @@ def pooled_regressions(datasets: Sequence[ClusterDataset]) -> list[PooledRegress
     """:func:`pooled_regression` of each dataset, the solves of all of them
     as one batch: each regression has the bits it has alone. Any dataset
     whose fit fails raises its RankDeficient."""
-    designs, ys = zip(*(stacked_design(d.clusters, "treated") for d in datasets))
+    designs = [stacked_design(d, "treated") for d in datasets]
+    ys = [d.outcomes for d in datasets]
     for design in designs:
         n, d = design.shape
         if n <= d:
@@ -293,7 +296,7 @@ def _pooled_sums(
     u = y - design @ restricted
     if np.max(np.abs(u)) <= n * np.finfo(float).eps * np.max(np.abs(y)):
         u = np.zeros(n)
-    starts = np.cumsum([0] + [c.size for c in dataset.clusters[:-1]])
+    starts = dataset.offsets[:-1]
     a = inverse @ (inverse.T @ np.add.reduceat(design * u[:, None], starts).T)
     g = design @ v
     h = np.add.reduceat(g * u, starts)
@@ -396,10 +399,4 @@ def pair_betas(
     """:func:`pair_beta_ols` (or :func:`pair_beta_probit`) of each dataset
     and its pairs, the fits of all of them as one batch: each coefficient
     has the bits it has alone."""
-    groups = [
-        (d.clusters[t], d.clusters[u]) for d, matched in zip(datasets, pairs)
-        for t, u in matched
-    ]
-    values = thetas(groups, "treated", probit)
-    bounds = np.cumsum([0] + [len(matched) for matched in pairs])
-    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return thetas(datasets, pairs, "treated", probit)

@@ -4,7 +4,9 @@ Within-cluster dependence is produced by a circular moving average: each
 error is the mean of h+1 consecutive raw draws with wraparound, so
 observations more than h positions apart are independent. Treated and
 untreated clusters deliberately differ in error scale and covariate law to
-keep the clusters heterogeneous.
+keep the clusters heterogeneous. A generator writes its draws straight into
+the columns of one :class:`~fewclusters.model.ClusterDataset`, cluster k in
+rows ``offsets[k]:offsets[k + 1]``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Cluster, ClusterDataset, ClusterLayout, HOutOfRange
+from .model import ClusterDataset, ClusterLayout, HOutOfRange
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,18 @@ def _chi2_centered(rng: np.random.Generator, size) -> np.ndarray:
     return z[0] ** 2 + z[1] ** 2 - 2.0
 
 
-def _gen_latent(
-    design: LinearDesign | ProbitDesign, seed, untreated_error_scale: float
-) -> list[tuple[bool, np.ndarray, np.ndarray]]:
-    """Each cluster's treatment flag, latent outcome and (m, d) covariates.
+def _generate(
+    design: LinearDesign | ProbitDesign, seed, untreated_error_scale: float, binary: bool
+) -> ClusterDataset:
+    """A dataset of latent outcomes, or their signs as 0/1 when ``binary``.
 
     Cluster k draws its size, its errors and then its covariates from the
     k-th child stream of the seed, so generation order cannot change the
     data. All clusters are smoothed by one ``circular_ma`` call over their
-    zero-padded (q, 1 + d, M) draws, each over its own length.
+    zero-padded (q, 1 + d, M) draws, each over its own length. The latent
+    outcome takes ``x @ eta`` on each cluster's own (m, d) view of the
+    smoothed draws: on the stacked (n, d) covariates the product can round
+    differently.
     """
     q = design.q1 + design.q0
     rngs = _spawned_rngs(seed, q)
@@ -106,13 +111,18 @@ def _gen_latent(
             raw[k, 1:, :m] = _chi2_centered(rng, (n_cov, m))
     smooth = circular_ma(raw, design.h, sizes)
     eta = np.asarray(design.eta)
-    clusters = []
+    offsets = np.cumsum([0] + sizes)
+    outcomes, covariates = np.empty(offsets[-1]), np.empty((offsets[-1], n_cov))
     for k, m in enumerate(sizes):
-        treated = k < design.q1
-        u, x = smooth[k, 0, :m], smooth[k, 1:, :m].T  # x is (m, n_cov)
-        latent = design.theta0 + design.beta * float(treated) + x @ eta + u
-        clusters.append((treated, latent, x))
-    return clusters
+        rows = slice(offsets[k], offsets[k + 1])
+        x = smooth[k, 1:, :m].T
+        covariates[rows] = x
+        treated = float(k < design.q1)
+        outcomes[rows] = design.theta0 + design.beta * treated + x @ eta + smooth[k, 0, :m]
+    if binary:
+        outcomes = (outcomes > 0).astype(float)
+    layout = ClusterLayout(q1=design.q1, q0=design.q0)
+    return ClusterDataset(_ids(q), layout, offsets, outcomes, covariates)
 
 
 def _spawned_rngs(seed, count: int) -> list[np.random.Generator]:
@@ -121,14 +131,8 @@ def _spawned_rngs(seed, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seed.spawn(count)]
 
 
-def _dataset(design: LinearDesign | ProbitDesign, clusters) -> ClusterDataset:
-    return ClusterDataset(
-        clusters=tuple(
-            Cluster.from_arrays(f"c{k:02d}", treated, y, x)
-            for k, (treated, y, x) in enumerate(clusters)
-        ),
-        layout=ClusterLayout(q1=design.q1, q0=design.q0),
-    )
+def _ids(q: int) -> tuple[str, ...]:
+    return tuple(f"c{k:02d}" for k in range(q))
 
 
 def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
@@ -140,15 +144,12 @@ def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
     Each cluster gets an independent child stream of the seed, so generation
     order cannot change the data.
     """
-    return _dataset(design, _gen_latent(design, seed, float(np.sqrt(2.0))))
+    return _generate(design, seed, float(np.sqrt(2.0)), binary=False)
 
 
 def gen_probit(design: ProbitDesign, seed: int) -> ClusterDataset:
     """Generate binary outcomes: 1 when the latent linear outcome is positive."""
-    latent = _gen_latent(design, seed, 1.0)
-    return _dataset(
-        design, [(treated, (y > 0).astype(float), x) for treated, y, x in latent]
-    )
+    return _generate(design, seed, 1.0, binary=True)
 
 
 def gen_did_panel(
@@ -170,19 +171,16 @@ def gen_did_panel(
     """
     q = q1 + q0
     rngs = _spawned_rngs(seed, q)
-    clusters = []
-    for k in range(q):
-        treated = k < q1
-        rng = rngs[k]
+    post = np.tile((np.arange(1, periods + 1) > t0).astype(float), q)
+    outcomes = np.empty(q * periods)
+    for k, rng in enumerate(rngs):
+        rows = slice(k * periods, (k + 1) * periods)
         fe = fe_scale * rng.standard_normal()
-        post = (np.arange(1, periods + 1) > t0).astype(float)
-        y = (
-            theta0 * post
-            + beta * post * float(treated)
+        outcomes[rows] = (
+            theta0 * post[rows]
+            + beta * post[rows] * float(k < q1)
             + fe
             + noise_scale * rng.standard_normal(periods)
         )
-        clusters.append(Cluster.from_arrays(f"c{k:02d}", treated, y, post=post))
-    return ClusterDataset(
-        clusters=tuple(clusters), layout=ClusterLayout(q1=q1, q0=q0)
-    )
+    offsets = np.arange(q + 1) * periods
+    return ClusterDataset(_ids(q), ClusterLayout(q1, q0), offsets, outcomes, post=post)

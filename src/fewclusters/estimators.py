@@ -1,8 +1,9 @@
 """Per-cluster estimators feeding the placebo test, and the one fit path.
 
-Every fit, per cluster, per matched pair or pooled, takes its design from
-:func:`stacked_design`, and :func:`fit_groups` gives each group of clusters
-its coefficients or its error. A per-cluster fit returns one scalar: the
+Every fit, per cluster, per matched pair or pooled, reads its rows of a
+dataset's columns through the row offsets: :func:`stacked_design` builds its
+design, and :func:`fit_groups` gives each group of clusters its coefficients
+or its error. A per-cluster fit returns one scalar: the
 regression intercept, the post-period slope, or the probit constant. The
 linear fits of a batch share :func:`least_squares`, a few QR calls and one
 triangular solve. The probit fit solves the raw moment condition (indicator
@@ -25,6 +26,7 @@ from .model import (
     EstimateVector,
     EstimationError,
     FewClustersError,
+    MissingPeriodFlag,
     RankDeficient,
     Separation,
     NoConvergence,
@@ -143,32 +145,31 @@ def least_squares(
     return fits
 
 
-def stacked_design(
-    clusters: Sequence[Cluster], dummy: Optional[str] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The design and the outcomes of the clusters' rows, stacked in order.
-
-    The design's columns are the intercept, the dummy and the covariates;
-    ``dummy`` is None (no column), "post" (the post-period flags, else
-    MissingPeriodFlag) or "treated". The design is allocated once; the
-    outcomes are one concatenation, or the cluster's own read-only array.
+def stacked_design(dataset: ClusterDataset, dummy: Optional[str] = None) -> np.ndarray:
+    """The design of all the dataset's rows: the intercept, the dummy and
+    the covariates. ``dummy`` is None (no column), "post" (the post-period
+    flags, else MissingPeriodFlag) or "treated". A group of clusters is
+    fitted on their rows of it, stacked by :func:`_rows`.
     """
     lead = {None: 1, "post": 2, "treated": 2}[dummy]
-    sizes = [c.size for c in clusters]
-    design = np.empty((sum(sizes), lead + clusters[0].covariate_dim))
+    if dummy == "post" and dataset.post is None:
+        raise MissingPeriodFlag("no post indicator")
+    design = np.empty((dataset.n, lead + dataset.covariates.shape[1]))
     design[:, 0] = 1.0
-    start = 0
-    for c, m in zip(clusters, sizes):
-        rows = slice(start, start + m)
-        if dummy == "post":
-            design[rows, 1] = c.post_flags
-        elif dummy == "treated":
-            design[rows, 1] = c.treated
-        design[rows, lead:] = c.covariate_matrix
-        start += m
-    if len(clusters) == 1:
-        return design, clusters[0].outcomes
-    return design, np.concatenate([c.outcomes for c in clusters])
+    if dummy == "post":
+        design[:, 1] = dataset.post
+    elif dummy == "treated":
+        design[:, 1] = np.arange(dataset.n) < dataset.offsets[dataset.layout.q1]
+    design[:, lead:] = dataset.covariates
+    return design
+
+
+def _rows(column: np.ndarray, offsets: np.ndarray, members: Sequence[int]) -> np.ndarray:
+    """The rows of clusters ``members`` of a column, stacked in order: a view
+    of one cluster's rows, or one concatenation."""
+    if len(members) == 1:
+        return column[offsets[members[0]] : offsets[members[0] + 1]]
+    return np.concatenate([column[offsets[k] : offsets[k + 1]] for k in members])
 
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
@@ -370,62 +371,82 @@ def probit_newton_batch(
     return betas, iterations, errors
 
 
-def _successes(group: Sequence[Cluster], y: np.ndarray) -> np.ndarray:
-    """0/1 indicators of the group's stacked outcomes y, a strictly positive
-    one a success; Separation unless each cluster has both values."""
+def _successes(y: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 indicators of the outcomes y, a strictly positive one a success,
+    and whether each cluster's, from its start on, are all one value."""
     y01 = (y > 0).astype(float)
-    starts = np.cumsum([0] + [c.size for c in group[:-1]])
-    if np.any(np.minimum.reduceat(y01, starts) == np.maximum.reduceat(y01, starts)):
-        raise Separation("constant binary outcome")
-    return y01
+    return y01, np.minimum.reduceat(y01, starts) == np.maximum.reduceat(y01, starts)
 
 
 def fit_groups(
-    groups: Sequence[Sequence[Cluster]], dummy: Optional[str] = None, probit: bool = False
+    datasets: Sequence[ClusterDataset],
+    groups: Sequence[Sequence[Sequence[int]]],
+    dummy: Optional[str] = None,
+    probit: bool = False,
 ) -> list[tuple[np.ndarray, int] | FewClustersError]:
     """Each group's coefficients and Newton iterations, or the error that
-    stopped its fit; a failed fit never raises.
+    stopped its fit, in order; a failed fit never raises.
 
-    A group, one cluster or the two of a matched pair, is fitted on its
-    :func:`stacked_design`, all groups as one batch: by :func:`least_squares`
-    or by :func:`probit_newton_batch`. A probit group needs both outcome
-    values in each cluster: the intercept and the dummy span each cluster's
+    groups[j] lists the groups of datasets[j], each the indices of its
+    clusters: one cluster, or the two of a matched pair. A group is fitted
+    on its clusters' rows of the dataset's :func:`stacked_design`, all
+    groups as one batch: by :func:`least_squares` or by
+    :func:`probit_newton_batch`. A probit group needs both outcome values
+    in each cluster: the intercept and the dummy span each cluster's
     indicator, so a constant outcome leaves the moment condition no zero.
     """
-    fits: list = [None] * len(groups)
-    batch = []
-    for i, group in enumerate(groups):
+    fits: list = []
+    batch = []  # the position, design and outcomes of each group to fit
+    for dataset, members in zip(datasets, groups):
         try:
-            design, y = stacked_design(group, dummy)
-            batch.append((i, design, _successes(group, y) if probit else y))
+            design = stacked_design(dataset, dummy)
         except FewClustersError as exc:
-            fits[i] = exc
-    if not batch:
-        return fits
-    index, designs, ys = zip(*batch)
-    if probit:
-        betas, iterations, errors = probit_newton_batch(designs, ys)
-        for i, beta, n, error in zip(index, betas, iterations, errors):
-            fits[i] = error or (beta, int(n))
-    else:
-        for i, fit in zip(index, least_squares(designs, ys)):
-            fits[i] = fit if isinstance(fit, RankDeficient) else (fit, 0)
+            fits += [exc] * len(members)
+            continue
+        y, offsets = dataset.outcomes, dataset.offsets
+        if probit:
+            y, constant = _successes(y, offsets[:-1])
+        for group in members:
+            if probit and constant[list(group)].any():
+                fits.append(Separation("constant binary outcome"))
+            else:
+                rows = _rows(design, offsets, group), _rows(y, offsets, group)
+                batch.append((len(fits), *rows))
+                fits.append(None)
+    if batch:
+        index, designs, ys = zip(*batch)
+        for i, fit in zip(index, _fit(designs, ys, probit)):
+            fits[i] = fit
     return fits
 
 
+def _fit(designs, ys, probit: bool) -> list[tuple[np.ndarray, int] | FewClustersError]:
+    """Each design's coefficients and Newton iterations, or its error."""
+    if probit:
+        betas, iterations, errors = probit_newton_batch(designs, ys)
+        return [e or (beta, int(n)) for beta, n, e in zip(betas, iterations, errors)]
+    fits = least_squares(designs, ys)
+    return [f if isinstance(f, RankDeficient) else (f, 0) for f in fits]
+
+
 def thetas(
-    groups: Sequence[Sequence[Cluster]], dummy: Optional[str] = None, probit: bool = False
-) -> np.ndarray:
-    """θ of each group's fit: the dummy's coefficient, or the intercept when
-    there is no dummy. The first failed fit raises EstimationError naming its
-    cluster, and a pair's partner."""
+    datasets: Sequence[ClusterDataset],
+    groups: Sequence[Sequence[Sequence[int]]],
+    dummy: Optional[str] = None,
+    probit: bool = False,
+) -> list[np.ndarray]:
+    """θ of each group's :func:`fit_groups` fit, per dataset: the dummy's
+    coefficient, or the intercept when there is no dummy. The first failed
+    fit raises EstimationError naming its cluster, and a pair's partner."""
     theta = 0 if dummy is None else 1
-    values = np.empty(len(groups))
-    for i, (group, fit) in enumerate(zip(groups, fit_groups(groups, dummy, probit))):
-        if isinstance(fit, FewClustersError):
-            partner = group[1].id if len(group) > 1 else None
-            raise EstimationError(group[0].id, fit, partner) from fit
-        values[i] = fit[0][theta]
+    fits = iter(fit_groups(datasets, groups, dummy, probit))
+    values = [np.empty(len(members)) for members in groups]
+    for dataset, members, out in zip(datasets, groups, values):
+        for j, (group, fit) in enumerate(zip(members, fits)):
+            if isinstance(fit, FewClustersError):
+                partner = dataset.ids[group[1]] if len(group) > 1 else None
+                raise EstimationError(dataset.ids[group[0]], fit, partner) from fit
+            out[j] = fit[0][theta]
     return values
 
 
@@ -438,9 +459,16 @@ ESTIMATORS: dict[str, tuple[Optional[str], bool]] = {
 
 
 def _fit_one(estimator: str, cluster: Cluster) -> FitResult:
-    """The estimator's fit of one cluster; a failed fit raises its own error."""
+    """The estimator's fit of one cluster, its design built from the
+    cluster's own columns; a failed fit raises its own error."""
     dummy, probit = ESTIMATORS[estimator]
-    (fit,) = fit_groups([(cluster,)], dummy, probit)
+    lead = [np.ones(cluster.size)] + ([cluster.post_flags] if dummy else [])
+    design, y = np.column_stack(lead + [cluster.covariate_matrix]), cluster.outcomes
+    if probit:
+        y, constant = _successes(y, [0])
+        if constant[0]:
+            raise Separation("constant binary outcome")
+    (fit,) = _fit([design], [y], probit)
     if isinstance(fit, FewClustersError):
         raise fit
     theta = 0 if dummy is None else 1
@@ -487,9 +515,6 @@ def estimate_many(datasets: Sequence[ClusterDataset], method: str) -> list[Estim
         raise ValueError(
             f"unknown method {method!r}; expected one of {sorted(ESTIMATORS)}"
         ) from None
-    values = thetas([(c,) for d in datasets for c in d.clusters], dummy, probit)
-    bounds = np.cumsum([0] + [len(d.clusters) for d in datasets])
-    return [
-        EstimateVector(values=values[lo:hi], layout=d.layout)
-        for d, lo, hi in zip(datasets, bounds[:-1], bounds[1:])
-    ]
+    groups = [[(k,) for k in range(d.layout.q)] for d in datasets]
+    values = thetas(datasets, groups, dummy, probit)
+    return [EstimateVector(v, d.layout) for d, v in zip(datasets, values)]

@@ -1,16 +1,21 @@
 """Shared domain types: clustered data, layouts, configs, results.
 
-All types are immutable after construction. A :class:`Cluster` holds its data
-as columns, read-only numpy arrays of outcomes, covariates and optional
-post-period flags, whose shapes are checked once when it is built; every
-estimator and comparator reads those arrays directly. Clusters are kept in a
-canonical treated-first order, established once by :func:`validate_dataset`;
-every downstream index computation relies on that ordering.
+All types are immutable after construction. A :class:`ClusterDataset` is the
+one in-memory form of clustered data: read-only columns of every row's
+outcome, covariates and optional post-period flag, the clusters in a
+canonical treated-first order, and row offsets that give cluster k the rows
+``offsets[k]:offsets[k + 1]``. Every fit reads its rows through the offsets,
+and every downstream index computation relies on the ordering.
+:func:`checked_columns` checks such columns once. A :class:`Cluster` holds
+one cluster's columns: built on its own it is checked by that same
+function, and the clusters a dataset hands out are views of its rows,
+neither copied nor checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,15 +112,80 @@ def _read_only(values, error: type, message: str) -> np.ndarray:
     return array
 
 
+def checked_columns(
+    ids: Sequence[str], outcomes, covariates=None, post=None, offsets=None
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Read-only float copies of the columns of clusters ``ids``, and their
+    row offsets, checked against each other: cluster k owns rows
+    offsets[k]:offsets[k + 1], or every row when there are no offsets.
+
+    Outcomes are a vector, covariates an (n, d) matrix (a vector is one
+    column, None none) and post None or n flags of 0 or 1. A repeated id,
+    an empty cluster, a bad shape, a nan or infinite value or another flag
+    raises a DataError naming the first offending cluster and the field. A
+    column that is no array of the right rank names the first cluster, and
+    one with too few or too many rows the first it cuts short, or the last.
+    """
+    q, name = len(ids), lambda k: f"cluster {ids[k]!r}"  # noqa: E731
+    if len(set(ids)) < q:
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        raise DataError(f"duplicate cluster id {repeated!r}")
+    y = _read_only(outcomes, DataError, f"{name(0)}: bad outcomes")
+    if y.ndim != 1:
+        raise DataError(f"{name(0)}: outcomes of shape {y.shape} are not a vector")
+    offsets = np.array([0, y.shape[0]] if offsets is None else offsets)
+    if offsets.shape != (q + 1,) or offsets.dtype.kind not in "iu" or offsets[0] != 0:
+        raise DataError(f"row offsets {offsets.tolist()} do not bound {q} clusters")
+    sizes, n = np.diff(offsets), int(offsets[-1])
+    if not (sizes > 0).all():
+        raise EmptyCluster(f"{name(int(np.argmax(sizes <= 0)))} has no observations")
+
+    def rows(array: np.ndarray, ndim: int, message: str) -> None:
+        """Raise ``message`` for the first cluster whose rows ``array`` lacks
+        or has to spare, with the shape of its share of them."""
+        if array.ndim == ndim and array.shape[0] == n:
+            return
+        k, share = 0, array
+        if array.ndim == ndim:
+            short = offsets[1:] > array.shape[0]
+            k = int(np.argmax(short)) if short.any() else q - 1
+            share = array[offsets[k] : offsets[k + 1] if k < q - 1 else None]
+        raise DataError(message.format(name(k), share.shape, sizes[k]))
+
+    def values(ok: np.ndarray, message: str) -> None:
+        """Raise ``message`` for the cluster of the first row with a value
+        not ``ok``; rows are reduced only when some value is not."""
+        if not ok.all():
+            bad = ~ok if ok.ndim == 1 else ~ok.all(axis=1)
+            k = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+            raise DataError(f"{name(k)}: {message}")
+
+    rows(y, 1, "{}: outcomes of shape {}, need ({},)")
+    values(np.isfinite(y), "outcomes contain nan or inf")
+    x = np.empty((n, 0)) if covariates is None else covariates
+    x = _read_only(x, RaggedCovariates, f"{name(0)}: covariates are not a matrix")
+    if x.shape == (n,):
+        x = x.reshape(n, 1)
+    rows(x, 2, "{}: covariates of shape {} for {} outcomes")
+    values(np.isfinite(x), "covariates contain nan or inf")
+    if post is not None:
+        post = _read_only(post, DataError, f"{name(0)}: bad post flags")
+        rows(post, 1, "{}: post flags of shape {}, need ({},)")
+        values((post == 0.0) | (post == 1.0), "post flags must be 0 or 1")
+    offsets = offsets.astype(np.intp)
+    offsets.flags.writeable = False
+    return y, x, post, offsets
+
+
 @dataclass(frozen=True, eq=False)
 class Cluster:
     """A block of observations sharing one cluster-level treatment flag.
 
     The data are read-only float arrays: ``outcomes`` (m,), ``covariate_matrix``
     (m, d) with d >= 0, and ``post`` (m,) of 0/1 post-period indicators, or
-    None when the data have no periods. Shapes and values are checked here,
-    once; a bad shape or a nan or infinite value raises a :class:`DataError`
-    naming the cluster and the field.
+    None when the data have no periods. Built here, a cluster copies its
+    inputs and checks them by :func:`checked_columns`; the clusters of a
+    :class:`ClusterDataset` are views of its rows.
     """
 
     id: str
@@ -125,32 +195,10 @@ class Cluster:
     post: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        name = f"cluster {self.id!r}"
-        y = _read_only(self.outcomes, DataError, f"{name}: bad outcomes")
-        if y.ndim != 1:
-            raise DataError(f"{name}: outcomes of shape {y.shape} are not a vector")
-        m = y.shape[0]
-        if m == 0:
-            raise EmptyCluster(f"{name} has no observations")
-        if not np.isfinite(y).all():
-            raise DataError(f"{name}: outcomes contain nan or inf")
-        x = np.empty((m, 0)) if self.covariate_matrix is None else self.covariate_matrix
-        x = _read_only(x, RaggedCovariates, f"{name}: covariates are not a matrix")
-        if x.ndim == 1 and x.shape[0] == m:
-            x = x.reshape(m, 1)
-        if x.ndim != 2 or x.shape[0] != m:
-            raise DataError(f"{name}: covariates of shape {x.shape} for {m} outcomes")
-        if not np.isfinite(x).all():
-            raise DataError(f"{name}: covariates contain nan or inf")
-        object.__setattr__(self, "outcomes", y)
-        object.__setattr__(self, "covariate_matrix", x)
-        if self.post is not None:
-            post = _read_only(self.post, DataError, f"{name}: bad post flags")
-            if post.shape != (m,):
-                raise DataError(f"{name}: post flags of shape {post.shape}, need ({m},)")
-            if np.any((post != 0.0) & (post != 1.0)):
-                raise DataError(f"{name}: post flags must be 0 or 1")
-            object.__setattr__(self, "post", post)
+        columns = (self.outcomes, self.covariate_matrix, self.post)
+        checked = checked_columns((self.id,), *columns)[:3]
+        for name, column in zip(("outcomes", "covariate_matrix", "post"), checked):
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_arrays(
@@ -200,22 +248,56 @@ class ClusterLayout:
         return self.q1 + self.q0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterDataset:
-    """Validated clusters in canonical treated-first order, plus their layout."""
+    """A dataset's columns: ``outcomes`` (n,), ``covariates`` (n, d) and
+    ``post`` (n,) or None. Cluster k, ``ids[k]``, owns rows
+    ``offsets[k]:offsets[k + 1]`` and is treated when k < ``layout.q1``.
+    The columns are copied and checked once, by :func:`checked_columns`.
+    """
 
-    clusters: tuple[Cluster, ...]
+    ids: tuple[str, ...]
     layout: ClusterLayout
+    offsets: np.ndarray
+    outcomes: np.ndarray
+    covariates: Optional[np.ndarray] = None
+    post: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        if len(ids) != self.layout.q:
+            raise DataError(f"{len(ids)} cluster ids for {self.layout.q} clusters")
+        columns = (self.outcomes, self.covariates, self.post, self.offsets)
+        names = ("outcomes", "covariates", "post", "offsets", "ids")
+        for name, value in zip(names, (*checked_columns(ids, *columns), ids)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """Each cluster as a :class:`Cluster` of views of its rows, neither
+        copied nor checked again."""
+        views = []
+        for k, rows in enumerate(map(slice, self.offsets[:-1], self.offsets[1:])):
+            view = object.__new__(Cluster)  # no __post_init__: the rows are checked
+            view.__dict__.update(
+                id=self.ids[k],
+                treated=k < self.layout.q1,
+                outcomes=self.outcomes[rows],
+                covariate_matrix=self.covariates[rows],
+                post=None if self.post is None else self.post[rows],
+            )
+            views.append(view)
+        return tuple(views)
 
     def __iter__(self):
         return iter(self.clusters)
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self.layout.q
 
     @property
     def n(self) -> int:
-        return sum(c.size for c in self.clusters)
+        return int(self.offsets[-1])
 
 
 @dataclass(frozen=True)
@@ -278,23 +360,40 @@ class TestResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def validate_dataset(clusters: Sequence[Cluster]) -> ClusterDataset:
-    """Check a collection of clusters and put it into canonical order.
+def stack_clusters(ids, treated, outcomes, covariates, post) -> ClusterDataset:
+    """One dataset of clusters given as lists of per-cluster values: ids,
+    treated flags, outcomes, (m, d) covariates and post flags or None.
 
     Treated clusters come first, preserving the input order within each
     group (stable partition). Requires at least one treated and one
-    untreated cluster; cluster-level invariants (non-empty, homogeneous
-    covariate dimension) are enforced by ``Cluster`` itself.
+    untreated cluster, and post flags in every cluster or in none.
     """
-    clusters = list(clusters)
-    treated = [c for c in clusters if c.treated]
-    untreated = [c for c in clusters if not c.treated]
-    if not treated:
+    order = [k for k, t in enumerate(treated) if t]
+    if not order:
         raise NoTreatedClusters("dataset has no treated cluster")
-    if not untreated:
+    if len(order) == len(treated):
         raise NoUntreatedClusters("dataset has no untreated cluster")
+    layout = ClusterLayout(q1=len(order), q0=len(treated) - len(order))
+    order += [k for k, t in enumerate(treated) if not t]
+    bare = [ids[k] for k in order if post[k] is None]
+    if 0 < len(bare) < len(order):
+        raise MissingPeriodFlag(f"cluster {bare[0]!r} has no post flags, unlike others")
+    return ClusterDataset(
+        ids=[ids[k] for k in order],
+        layout=layout,
+        offsets=np.cumsum([0] + [len(outcomes[k]) for k in order]),
+        outcomes=np.concatenate([outcomes[k] for k in order]),
+        covariates=np.concatenate([covariates[k] for k in order]),
+        post=None if bare else np.concatenate([post[k] for k in order]),
+    )
+
+
+def validate_dataset(clusters: Sequence[Cluster]) -> ClusterDataset:
+    """The dataset of these clusters, by :func:`stack_clusters`; they must
+    share one covariate dimension."""
+    clusters = list(clusters)
     dims = {c.covariate_dim for c in clusters}
     if len(dims) > 1:
         raise RaggedCovariates(f"clusters mix covariate dimensions {sorted(dims)}")
-    layout = ClusterLayout(q1=len(treated), q0=len(untreated))
-    return ClusterDataset(clusters=tuple(treated + untreated), layout=layout)
+    fields = ("id", "treated", "outcomes", "covariate_matrix", "post")
+    return stack_clusters(*([getattr(c, f) for c in clusters] for f in fields))

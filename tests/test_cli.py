@@ -181,6 +181,25 @@ class TestTestCommand:
         assert (code, out) == (EXIT_DATA_ERROR, "")
         assert f"malformed row 2: {cells} cells, the header has 3" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # cp1252 bytes that are no UTF-8: an 'é' in a cluster id
+            "cluster_id,treated,outcome\ncaf\xe9,1,1.0\nb,0,2.0\n".encode("cp1252"),
+            # one field past the csv module's 131,072-character limit
+            b"cluster_id,treated,outcome\n" + b"a" * 131_073 + b",1,1.0\nb,0,2.0\n",
+        ],
+        ids=["not-utf8", "oversized-field"],
+    )
+    def test_unreadable_csv_exit_code(self, tmp_path, capsys, content):
+        # both ended in a traceback and exit 1
+        p = tmp_path / "d.csv"
+        p.write_bytes(content)
+        code = main(["test", "--input", str(p)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_DATA_ERROR, "")
+        assert err.startswith("error: ") and str(p) in err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["test", "--input", str(tmp_path / "nope.csv")]) == EXIT_DATA_ERROR
 
@@ -485,6 +504,17 @@ class TestSimulateCommand:
             ["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
         )
         assert code == EXIT_DATA_ERROR
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        # a cp1252 byte in a JSON string ended in a traceback and exit 1
+        config = tmp_path / "config.json"
+        text = json.dumps({**self.CONFIG, "note": "caf\xe9"}, ensure_ascii=False)
+        config.write_bytes(text.encode("cp1252"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert err.startswith("error: ") and str(config) in err
+        assert not (tmp_path / "out").exists()
 
     def test_estimation_failure_exit_code(self, tmp_path):
         # replication data at beta = 1.5 separate the probit fit of cluster c02

@@ -463,8 +463,8 @@ class TestBlockedSolve:
     @staticmethod
     def unblocked_a(dataset):
         """``a`` from one lstsq solve with all q right-hand sides."""
-        design, y = stacked_design(dataset.clusters, "treated")
-        sizes = np.array([c.size for c in dataset.clusters])
+        design, y = stacked_design(dataset, "treated"), dataset.outcomes
+        sizes = np.diff(dataset.offsets)
         restricted = np.delete(design, 1, axis=1)
         u = y - restricted @ np.linalg.lstsq(restricted, y, rcond=None)[0]
         u_blocks = np.zeros((u.size, sizes.size))

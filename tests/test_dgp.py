@@ -256,6 +256,103 @@ class TestOneSmoothingPerCluster:
                     assert np.array_equal(cluster.covariate_matrix, x)
 
 
+def rolled_mean(source, h):
+    """The circular moving average of h + 1 entries along the last axis, by
+    np.roll: the additions ``circular_ma`` makes, in its order."""
+    out = source.copy()
+    for j in range(1, h + 1):
+        out += np.roll(source, -j, axis=-1)
+    return out / (h + 1)
+
+
+def reference_dataset(design, seed, probit):
+    """Ids, offsets, outcomes and covariates of ``gen_linear`` (or
+    ``gen_probit``), one cluster at a time from numpy's own spawned streams:
+    size, errors, then covariates; ``x @ eta`` on the cluster's own (m, d)
+    array."""
+    q = design.q1 + design.q0
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(q)]
+    lo, hi = design.size_range
+    sizes = [int(rng.integers(lo, hi + 1)) for rng in rngs]
+    d, eta = len(design.eta), np.asarray(design.eta)
+    outcomes, covariates = [], []
+    for k, (rng, m) in enumerate(zip(rngs, sizes)):
+        treated = k < design.q1
+        if treated:
+            u, x = rng.standard_normal(m), rng.standard_normal((d, m))
+        else:
+            u = (1.0 if probit else np.sqrt(2.0)) * rng.standard_normal(m)
+            z = rng.standard_normal((2, d, m))
+            x = z[0] ** 2 + z[1] ** 2 - 2.0
+        smooth = rolled_mean(np.vstack([u[None, :], x]), design.h)
+        u, x = smooth[0], smooth[1:].T
+        latent = design.theta0 + design.beta * float(treated) + x @ eta + u
+        outcomes.append((latent > 0).astype(float) if probit else latent)
+        covariates.append(x)
+    ids = tuple(f"c{k:02d}" for k in range(q))
+    return ids, np.cumsum([0] + sizes), np.concatenate(outcomes), np.vstack(covariates)
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+# seeds of one and of several 32-bit words of entropy
+REFERENCE_SEEDS = [0, 1, 7, 2**40 + 3, 2**64 + 11]
+
+
+class TestReferenceGenerators:
+    @pytest.mark.parametrize("h", [0, 1, 10, 14])
+    def test_linear_and_probit_bitwise(self, h):
+        designs = [
+            (gen_linear, LinearDesign(h=h)),
+            (gen_linear, LinearDesign(q1=6, q0=6, h=h, beta=0.5, theta0=-0.2)),
+            (gen_linear, LinearDesign(q1=1, q0=2, h=h, eta=(0.5,), size_range=(15, 15))),
+            (gen_linear, LinearDesign(q1=2, q0=1, h=h, eta=())),
+            (gen_probit, ProbitDesign(q1=2, q0=3, h=h, beta=0.3, size_range=(15, 60))),
+        ]
+        for seed in REFERENCE_SEEDS:
+            for generate, design in designs:
+                ds = generate(design, seed)
+                probit = generate is gen_probit
+                ids, offsets, y, x = reference_dataset(design, seed, probit)
+                assert ds.ids == ids and ds.offsets.tolist() == offsets.tolist()
+                assert ds.layout.q1 == design.q1 and ds.layout.q0 == design.q0
+                assert bits(ds.outcomes) == bits(y) and bits(ds.covariates) == bits(x)
+                assert ds.post is None
+
+    def test_did_panel_bitwise(self):
+        for seed in REFERENCE_SEEDS:
+            ds = gen_did_panel(2, 3, periods=7, t0=3, beta=0.7, seed=seed, theta0=0.2)
+            children = np.random.SeedSequence(seed).spawn(5)
+            rngs = [np.random.default_rng(s) for s in children]
+            post = (np.arange(1, 8) > 3).astype(float)
+            y = []
+            for k, rng in enumerate(rngs):
+                fe = rng.standard_normal()
+                noise = rng.standard_normal(7)
+                y.append(0.2 * post + 0.7 * post * float(k < 2) + fe + noise)
+            assert ds.offsets.tolist() == [0, 7, 14, 21, 28, 35]
+            assert bits(ds.outcomes) == bits(np.concatenate(y))
+            assert bits(ds.post) == bits(np.tile(post, 5))
+            assert ds.covariates.shape == (35, 0)
+
+    def test_cluster_views_share_the_columns(self):
+        for ds in [
+            gen_linear(LinearDesign(), 3),
+            gen_probit(ProbitDesign(size_range=(15, 40)), 3),
+            gen_did_panel(q1=2, q0=2, periods=4, t0=2, beta=1.0, seed=3),
+        ]:
+            for k, c in enumerate(ds):
+                assert np.shares_memory(c.outcomes, ds.outcomes)
+                # the panel has no covariates, and an empty array shares nothing
+                x = c.covariate_matrix
+                assert ds.covariates.size == 0 or np.shares_memory(x, ds.covariates)
+                assert c.post is None or np.shares_memory(c.post, ds.post)
+                rows = slice(ds.offsets[k], ds.offsets[k + 1])
+                assert bits(c.outcomes) == bits(ds.outcomes[rows])
+
+
 class TestGenDidPanel:
     def test_layout_and_post_flags(self):
         ds = gen_did_panel(q1=2, q0=2, periods=6, t0=3, beta=1.0, seed=0)

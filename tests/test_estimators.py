@@ -407,9 +407,11 @@ class TestProbitBatch:
     def test_survivors_match_batch_of_one(self):
         rng = np.random.default_rng(71)
         kinds = ["good", "singular", "good", "constant", "separating", "good"]
-        clusters = [probit_cluster(kind, f"c{i}", True, rng) for i, kind in enumerate(kinds)]
-        fits = fit_groups([(c,) for c in clusters], probit=True)
-        for kind, cluster, fit in zip(kinds, clusters, fits):
+        ds = validate_dataset(
+            [probit_cluster(kind, f"c{i}", i < 5, rng) for i, kind in enumerate(kinds)]
+        )
+        fits = fit_groups([ds], [[(k,) for k in range(len(ds))]], probit=True)
+        for kind, cluster, fit in zip(kinds, ds, fits):
             if kind != "good":
                 assert str(fit) == FAILURE_MESSAGES[kind]
                 continue
@@ -505,7 +507,8 @@ class TestOneFitPath:
     @pytest.mark.parametrize("dummy", [None, "post", "treated"])
     def test_stacked_design_equals_column_stack_forms(self, dummy):
         ds = with_post(gen_linear(LinearDesign(q1=2, q0=2, h=2), 9))
-        for group in [ds.clusters[:1], ds.clusters[1:3], ds.clusters]:
+        for members in [(0,), (1, 2), (3, 0), range(4)]:
+            group = [ds.clusters[k] for k in members]
             blocks = []
             for c in group:
                 columns = [np.ones(c.size)]
@@ -514,15 +517,20 @@ class TestOneFitPath:
                 elif dummy == "treated":
                     columns.append(np.full(c.size, 1.0 if c.treated else 0.0))
                 blocks.append(np.column_stack([*columns, c.covariate_matrix]))
-            design, y = stacked_design(group, dummy)
+            design = estimators._rows(stacked_design(ds, dummy), ds.offsets, members)
+            y = estimators._rows(ds.outcomes, ds.offsets, members)
             assert design.tolist() == np.vstack(blocks).tolist()
             assert y.tolist() == np.concatenate([c.outcomes for c in group]).tolist()
 
     def test_failed_fits_are_values(self):
         good = Cluster.from_arrays("g", True, [1.0, 2.0, 4.0], post=[0, 1, 1])
-        flat = Cluster.from_arrays("f", True, [1.0, 2.0, 4.0], post=[1, 1, 1])
-        bare = Cluster.from_arrays("b", True, [1.0, 2.0, 4.0])
-        fits = fit_groups([(good,), (flat,), (bare,)], "post")
+        flat = Cluster.from_arrays("f", False, [1.0, 2.0, 4.0], post=[1, 1, 1])
+        bare = validate_dataset([
+            Cluster.from_arrays("b", True, [1.0, 2.0, 4.0]),
+            Cluster.from_arrays("c", False, [1.0, 2.0, 4.0]),
+        ])
+        with_post = validate_dataset([good, flat])
+        fits = fit_groups([with_post, bare], [[(0,), (1,)], [(0,)]], "post")
         assert fits[0][0].tolist() == least_squares(
             [np.column_stack([np.ones(3), good.post])], [good.outcomes]
         )[0].tolist()
@@ -538,7 +546,7 @@ class TestOneFitPath:
         ds = validate_dataset(
             [probit_cluster(kind, f"c{i}", i < 3, rng) for i, kind in enumerate(kinds)]
         )
-        fits = fit_groups([(ds.clusters[0], ds.clusters[3])], "treated", probit=True)
+        fits = fit_groups([ds], [[(0, 3)]], "treated", probit=True)
         assert str(fits[0]) == "constant binary outcome"
         with pytest.raises(EstimationError) as info:
             pair_beta_probit(ds, [(1, 4), (0, 3), (2, 5)])

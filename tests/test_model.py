@@ -7,12 +7,14 @@ import pytest
 
 from fewclusters.model import (
     Cluster,
+    ClusterDataset,
     ClusterLayout,
     DataError,
     EmptyCluster,
     EstimateVector,
     EstimationError,
     FewClustersError,
+    MissingPeriodFlag,
     NoTreatedClusters,
     NoUntreatedClusters,
     RaggedCovariates,
@@ -23,6 +25,32 @@ from fewclusters.model import (
 
 def make_cluster(cid, treated, outcomes=(1.0, 2.0)):
     return Cluster.from_arrays(cid, treated, outcomes)
+
+
+# one cluster's outcomes, covariates and post flags, of a bad shape
+BAD_SHAPES = [
+    # six covariate values would fold into a garbled (3, 2) matrix
+    ([1.0, 2.0, 3.0], np.arange(6.0).reshape(2, 3), None),
+    ([1.0, 2.0], None, [True]),
+    ([1.0, 2.0], None, [True, False, True]),
+    ([1.0, 2.0], [[1.0, 2.0], [3.0]], None),
+    ([[1.0, 2.0], [3.0, 4.0]], None, None),
+]
+BAD_SHAPE_IDS = ["covariate-rows", "short-post", "long-post", "ragged-rows", "2d-outcomes"]
+# one cluster's outcomes and covariates, and the field holding a nan or inf
+NON_FINITE = [
+    ([1.0, np.nan], None, "outcomes"),
+    ([np.inf, 1.0], None, "outcomes"),
+    ([1.0, 2.0], [[0.0], [np.nan]], "covariates"),
+    ([1.0, 2.0], [[-np.inf, 1.0], [0.0, 1.0]], "covariates"),
+]
+
+
+def cluster_error(*columns):
+    """The DataError that Cluster.from_arrays raises for cluster 'bad'."""
+    with pytest.raises(DataError) as info:
+        Cluster.from_arrays("bad", True, *columns)
+    return info.value
 
 
 class TestValidateDataset:
@@ -62,6 +90,28 @@ class TestValidateDataset:
         ds = validate_dataset(clusters)
         assert sorted(c.id for c in ds.clusters) == sorted(c.id for c in clusters)
 
+    def test_duplicate_ids_rejected(self):
+        # two clusters named 'a' made every error naming 'a' ambiguous
+        with pytest.raises(DataError, match="duplicate cluster id 'a'"):
+            validate_dataset([make_cluster("a", True), make_cluster("a", False)])
+
+    def test_clusters_are_views_of_the_columns(self):
+        ds = validate_dataset([
+            Cluster.from_arrays("u", False, [5.0], [[1.0]], post=[1]),
+            Cluster.from_arrays("t", True, [1.0, 2.0], [[3.0], [4.0]], post=[0, 1]),
+        ])
+        assert ds.ids == ("t", "u") and ds.offsets.tolist() == [0, 2, 3]
+        assert ds.outcomes.tolist() == [1.0, 2.0, 5.0]
+        assert ds.covariates.tolist() == [[3.0], [4.0], [1.0]]
+        for c in ds:
+            for view, column in [
+                (c.outcomes, ds.outcomes),
+                (c.covariate_matrix, ds.covariates),
+                (c.post, ds.post),
+            ]:
+                assert np.shares_memory(view, column) and not view.flags.writeable
+        assert [c.size for c in ds] == [2, 1] and ds.clusters is ds.clusters
+
     def test_ragged_covariates_across_clusters(self):
         a = Cluster.from_arrays("a", True, [1.0], covariates=np.ones((1, 2)))
         b = Cluster.from_arrays("b", False, [1.0], covariates=np.ones((1, 3)))
@@ -78,31 +128,12 @@ class TestCluster:
         with pytest.raises(RaggedCovariates):
             Cluster.from_arrays("x", True, [1.0, 2.0], covariates=[[1.0], [1.0, 2.0]])
 
-    @pytest.mark.parametrize(
-        "outcomes, covariates, post",
-        [
-            # six covariate values would fold into a garbled (3, 2) matrix
-            ([1.0, 2.0, 3.0], np.arange(6.0).reshape(2, 3), None),
-            ([1.0, 2.0], None, [True]),
-            ([1.0, 2.0], None, [True, False, True]),
-            ([1.0, 2.0], [[1.0, 2.0], [3.0]], None),
-            ([[1.0, 2.0], [3.0, 4.0]], None, None),
-        ],
-        ids=["covariate-rows", "short-post", "long-post", "ragged-rows", "2d-outcomes"],
-    )
+    @pytest.mark.parametrize("outcomes, covariates, post", BAD_SHAPES, ids=BAD_SHAPE_IDS)
     def test_bad_shapes_name_the_cluster(self, outcomes, covariates, post):
         with pytest.raises(DataError, match="'bad'"):
             Cluster.from_arrays("bad", True, outcomes, covariates, post)
 
-    @pytest.mark.parametrize(
-        "outcomes, covariates, field",
-        [
-            ([1.0, np.nan], None, "outcomes"),
-            ([np.inf, 1.0], None, "outcomes"),
-            ([1.0, 2.0], [[0.0], [np.nan]], "covariates"),
-            ([1.0, 2.0], [[-np.inf, 1.0], [0.0, 1.0]], "covariates"),
-        ],
-    )
+    @pytest.mark.parametrize("outcomes, covariates, field", NON_FINITE)
     def test_non_finite_values_name_cluster_and_field(self, outcomes, covariates, field):
         with pytest.raises(DataError, match=f"'bad': {field} contain nan or inf"):
             Cluster.from_arrays("bad", True, outcomes, covariates)
@@ -124,6 +155,84 @@ class TestCluster:
         np.testing.assert_array_equal(c.outcomes, [1.0, 2.0])
         np.testing.assert_array_equal(c.covariate_matrix, [[3.0], [4.0]])
         np.testing.assert_array_equal(c.post_flags, [0.0, 1.0])
+
+
+class TestColumnarChecks:
+    """The Cluster shape and value cases, through validate_dataset and the
+    columnar constructor: the same messages."""
+
+    OK = ([7.0], [[0.0]], [0.0])  # a good cluster's outcomes, covariates, post
+
+    @pytest.mark.parametrize("outcomes, covariates, post", BAD_SHAPES, ids=BAD_SHAPE_IDS)
+    def test_bad_shapes_through_validate_dataset(self, outcomes, covariates, post):
+        expected = cluster_error(outcomes, covariates, post)
+        with pytest.raises(DataError) as info:
+            ok = Cluster.from_arrays("ok", False, [7.0])
+            bad = Cluster.from_arrays("bad", True, outcomes, covariates, post)
+            validate_dataset([ok, bad])
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+
+    @pytest.mark.parametrize(
+        "case, columns", zip(BAD_SHAPE_IDS, BAD_SHAPES), ids=BAD_SHAPE_IDS
+    )
+    def test_bad_shapes_through_the_columnar_constructor(self, case, columns):
+        outcomes, covariates, post = columns
+        expected = cluster_error(outcomes, covariates, post)
+        if case not in ("ragged-rows", "2d-outcomes"):
+            # the rows of 'bad' follow one row of 'ok': a column short of rows
+            # cuts 'bad' short, and one with rows to spare gives them to 'bad'
+            ok_y, ok_x, ok_post = self.OK
+            d = 0 if covariates is None else np.shape(covariates)[1]
+            columns = (
+                ok_y + list(outcomes),
+                None if covariates is None else np.vstack([np.zeros((1, d)), covariates]),
+                None if post is None else ok_post + list(post),
+            )
+            ids, offsets = ("ok", "bad"), [0, 1, 1 + len(outcomes)]
+        else:
+            # a column that is no vector or matrix at all names the first
+            # cluster: 'bad' owns row 0, 'ok' the rest
+            columns, ids, offsets = (outcomes, covariates, post), ("bad", "ok"), [0, 1, 2]
+        with pytest.raises(DataError) as info:
+            ClusterDataset(ids, ClusterLayout(1, 1), offsets, *columns)
+        assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+
+    @pytest.mark.parametrize("outcomes, covariates, field", NON_FINITE)
+    def test_non_finite_values_through_both(self, outcomes, covariates, field):
+        expected = str(cluster_error(outcomes, covariates))
+        assert expected == f"cluster 'bad': {field} contain nan or inf"
+        d = 0 if covariates is None else np.shape(covariates)[1]
+        x = np.zeros((2, d)) if covariates is None else covariates
+        ok = Cluster.from_arrays("ok", True, [7.0, 8.0], np.zeros((2, d)))
+        with pytest.raises(DataError) as info:
+            validate_dataset([ok, Cluster.from_arrays("bad", False, outcomes, covariates)])
+        assert str(info.value) == expected
+        # 'bad' second: the check names the cluster of the first bad row
+        with pytest.raises(DataError) as info:
+            ClusterDataset(
+                ("ok", "bad"), ClusterLayout(1, 1), [0, 2, 4],
+                [7.0, 8.0, *outcomes], np.vstack([ok.covariate_matrix, x]),
+            )
+        assert str(info.value) == expected
+
+    def test_empty_cluster_and_bad_offsets(self):
+        layout = ClusterLayout(1, 1)
+        with pytest.raises(EmptyCluster, match="cluster 'b' has no observations"):
+            ClusterDataset(("a", "b"), layout, [0, 2, 2], [1.0, 2.0])
+        for offsets in ([0, 2], [1, 2, 3], [0.0, 1.0, 2.0], [0, 2, 1]):
+            with pytest.raises(DataError):
+                ClusterDataset(("a", "b"), layout, offsets, [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="3 cluster ids for 2 clusters"):
+            ClusterDataset(("a", "b", "c"), layout, [0, 1, 2, 3], [1.0, 2.0, 3.0])
+
+    def test_post_flags_checked(self):
+        with pytest.raises(DataError, match="cluster 'b': post flags must be 0 or 1"):
+            ClusterDataset(("a", "b"), ClusterLayout(1, 1), [0, 1, 2], [1, 2], post=[1, 3])
+        with pytest.raises(MissingPeriodFlag, match="cluster 'b'"):
+            validate_dataset([
+                Cluster.from_arrays("a", True, [1.0], post=[1]),
+                Cluster.from_arrays("b", False, [1.0]),
+            ])
 
 
 class TestEstimationError:
