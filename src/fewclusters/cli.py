@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .methods import STREAMS, TABLE, Inputs, Setting
+from .methods import TABLE, Inputs, Setting, seed_streams
 from .model import (
     ClusterDataset,
     DataError,
@@ -124,9 +124,9 @@ def cmd_test(args) -> int:
             _ESTIMATORS[args.estimator], q1, q0, _SIDES[args.side], adjustment
         )
         method.check(setting)  # before any estimation
-        seeds = dict.fromkeys(STREAMS, args.seed)
+        seeds = [seed_streams(args.seed)]
         result = method.run(
-            Inputs(setting, dataset, args.alpha, seeds, args.pairing, args.max_perms)
+            Inputs(setting, [dataset], args.alpha, seeds, args.pairing, args.max_perms), 0
         )
     except (FewClustersError, OSError) as exc:
         return _error(exc)

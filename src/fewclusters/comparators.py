@@ -27,6 +27,8 @@ from .model import (
     RankDeficient,
     TestResult,
     UnbalancedGroups,
+    each,
+    unwrap,
 )
 from . import engine
 
@@ -262,33 +264,30 @@ def pooled_regression(dataset: ClusterDataset) -> PooledRegression:
     when n <= d, which leaves the CRVE no degrees of freedom, or when the
     rank rule of ``estimators.least_squares`` fails.
     """
-    return pooled_regressions([dataset])[0]
+    return unwrap(pooled_regressions([dataset])[0])
 
 
-def pooled_regressions(datasets: Sequence[ClusterDataset]) -> list[PooledRegression]:
+def pooled_regressions(
+    datasets: Sequence[ClusterDataset],
+) -> list[PooledRegression | RankDeficient]:
     """:func:`pooled_regression` of each dataset, the solves of all of them
-    as one batch: each regression has the bits it has alone. Any dataset
-    whose fit fails raises its RankDeficient."""
+    as one batch: each regression has the bits it has alone, and a dataset
+    whose fit fails gets its RankDeficient."""
     designs = [stacked_design(d, "treated") for d in datasets]
-    ys = [d.outcomes for d in datasets]
-    for design in designs:
-        n, d = design.shape
-        if n <= d:
-            raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
-    solutions, failed = solve_factors(qr_factors(designs, ys))
-    if failed.any():
-        raise RankDeficient("design matrix is rank deficient")
-    return [
-        _pooled_sums(dataset, design, y, solution)
-        for dataset, design, y, solution in zip(datasets, designs, ys, solutions)
-    ]
+    solutions, failed = solve_factors(qr_factors(designs, [d.outcomes for d in datasets]))
+    return each(_pooled_sums, datasets, designs, solutions, failed)
 
 
 def _pooled_sums(
-    dataset: ClusterDataset, design: np.ndarray, y: np.ndarray, solution: np.ndarray
+    dataset: ClusterDataset, design: np.ndarray, solution: np.ndarray, failed: bool
 ) -> PooledRegression:
     """The per-cluster sums of :func:`pooled_regression` from its solve."""
-    n = design.shape[0]
+    n, d = design.shape
+    if n <= d:
+        raise RankDeficient(f"{n} pooled rows leave no residual for {d} coefficients")
+    if failed:
+        raise RankDeficient("design matrix is rank deficient")
+    y = dataset.outcomes
     b, inverse = solution[:, 0], solution[:, 1:]
     v = inverse @ inverse[1]
     restricted = b - b[1] / v[1] * v
@@ -380,7 +379,7 @@ def pair_beta_ols(
     dataset: ClusterDataset, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Per-pair treatment coefficient from pooled OLS of each matched pair."""
-    return pair_betas([dataset], [pairs])[0]
+    return unwrap(pair_betas([dataset], [pairs])[0])
 
 
 def pair_beta_probit(
@@ -388,15 +387,16 @@ def pair_beta_probit(
 ) -> np.ndarray:
     """Per-pair treatment coefficient from a probit fit of each matched pair;
     a pair with a constant outcome in either cluster fails with Separation."""
-    return pair_betas([dataset], [pairs], probit=True)[0]
+    return unwrap(pair_betas([dataset], [pairs], probit=True)[0])
 
 
 def pair_betas(
     datasets: Sequence[ClusterDataset],
     pairs: Sequence[Sequence[tuple[int, int]]],
     probit: bool = False,
-) -> list[np.ndarray]:
+) -> list[np.ndarray | FewClustersError]:
     """:func:`pair_beta_ols` (or :func:`pair_beta_probit`) of each dataset
     and its pairs, the fits of all of them as one batch: each coefficient
-    has the bits it has alone."""
+    has the bits it has alone, and a dataset whose fit fails gets the error
+    the function raises for it."""
     return thetas(datasets, pairs, "treated", probit)

@@ -30,6 +30,8 @@ from .model import (
     RankDeficient,
     Separation,
     NoConvergence,
+    each,
+    unwrap,
 )
 
 MOMENT_TOL = 1e-10
@@ -434,20 +436,23 @@ def thetas(
     groups: Sequence[Sequence[Sequence[int]]],
     dummy: Optional[str] = None,
     probit: bool = False,
-) -> list[np.ndarray]:
+) -> list[np.ndarray | EstimationError]:
     """θ of each group's :func:`fit_groups` fit, per dataset: the dummy's
-    coefficient, or the intercept when there is no dummy. The first failed
-    fit raises EstimationError naming its cluster, and a pair's partner."""
+    coefficient, or the intercept when there is no dummy. A dataset with a
+    failed fit gets instead an EstimationError naming the first failed
+    cluster, and a pair's partner."""
     theta = 0 if dummy is None else 1
     fits = iter(fit_groups(datasets, groups, dummy, probit))
-    values = [np.empty(len(members)) for members in groups]
-    for dataset, members, out in zip(datasets, groups, values):
-        for j, (group, fit) in enumerate(zip(members, fits)):
+
+    def values(dataset, own):
+        for group, fit in own:
             if isinstance(fit, FewClustersError):
                 partner = dataset.ids[group[1]] if len(group) > 1 else None
                 raise EstimationError(dataset.ids[group[0]], fit, partner) from fit
-            out[j] = fit[0][theta]
-    return values
+        return np.array([fit[0][theta] for _, fit in own])
+
+    # zip takes from ``fits`` only as many as the dataset has groups
+    return each(values, datasets, [list(zip(members, fits)) for members in groups])
 
 
 # estimator -> (dummy, probit) of its per-cluster fit
@@ -503,12 +508,15 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
 def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:
     """Apply a per-cluster fit to every cluster in canonical order, all fits
     as one batch; the first failing cluster raises EstimationError."""
-    return estimate_many([dataset], method)[0]
+    return unwrap(estimate_many([dataset], method)[0])
 
 
-def estimate_many(datasets: Sequence[ClusterDataset], method: str) -> list[EstimateVector]:
+def estimate_many(
+    datasets: Sequence[ClusterDataset], method: str
+) -> list[EstimateVector | FewClustersError]:
     """:func:`estimate_all` of each dataset, the fits of all of them as one
-    batch: each estimate has the bits it has alone."""
+    batch: each estimate has the bits it has alone, and a dataset whose
+    estimation fails gets the error :func:`estimate_all` raises for it."""
     try:
         dummy, probit = ESTIMATORS[method]
     except KeyError:
@@ -517,4 +525,4 @@ def estimate_many(datasets: Sequence[ClusterDataset], method: str) -> list[Estim
         ) from None
     groups = [[(k,) for k in range(d.layout.q)] for d in datasets]
     values = thetas(datasets, groups, dummy, probit)
-    return [EstimateVector(v, d.layout) for d, v in zip(datasets, values)]
+    return each(lambda v, d: EstimateVector(v, d.layout), values, datasets)

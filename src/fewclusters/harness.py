@@ -163,9 +163,9 @@ class _ReplicationStreams(Mapping):
         return len(self.NAMES)
 
 
-# replications run in groups of this many, one method at a time over the
-# group, and each fit of the group's datasets runs as one batch: each
-# method's code stays hot in the caches, and the calls are fewer
+# replications run in groups of this many: each fit of the group's datasets
+# runs as one batch, so the calls are fewer, and then each replication in
+# turn runs every method
 REPLICATION_GROUP = 16
 
 
@@ -173,47 +173,25 @@ def _run_block(spec: ExperimentSpec, block: tuple[int, int, int]) -> dict[str, i
     """Reject counts per method over one (sweep index, start, stop) block.
 
     The counts are those of one replication at a time, since each
-    replication draws from its own streams; a group that fails runs again
-    one replication at a time, so that the failure raised is the first in
-    replication order.
+    replication draws from its own streams, and the first failure raised
+    is the first in replication order.
     """
     sweep_index, rep_start, rep_stop = block
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
     setting = _setting(design)
     generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
-
-    def replication(rep: int, batch: Optional[list] = None) -> Inputs:
-        streams = _ReplicationStreams(spec.master_seed, sweep_index, rep)
-        dataset = generate(design, streams["data"])
-        return Inputs(
-            setting,
-            dataset,
-            spec.alpha,
-            streams,
-            spec.crs_pairing,
-            bootstrap_reps=spec.bootstrap_reps,
-            batch=batch,
-        )
-
     counts = {m: 0 for m in spec.methods}
     for start in range(rep_start, rep_stop, REPLICATION_GROUP):
         reps = range(start, min(start + REPLICATION_GROUP, rep_stop))
-        group: list[Inputs] = []
-        try:
-            group.extend(replication(rep, group) for rep in reps)
+        streams = [_ReplicationStreams(spec.master_seed, sweep_index, rep) for rep in reps]
+        datasets = [generate(design, s["data"]) for s in streams]
+        inputs = Inputs(
+            setting, datasets, spec.alpha, streams, spec.crs_pairing,
+            bootstrap_reps=spec.bootstrap_reps,
+        )
+        for j in range(len(reps)):
             for method in spec.methods:
-                run = TABLE[method].run
-                counts[method] += sum(int(run(inputs).reject) for inputs in group)
-        except FewClustersError:
-            for rep in reps:
-                inputs = replication(rep)
-                for method in spec.methods:
-                    TABLE[method].run(inputs)
-            raise
-        finally:
-            # each member holds the list: emptying it frees the group now
-            # rather than at the next full garbage collection
-            group.clear()
+                counts[method] += int(TABLE[method].run(inputs, j).reject)
     return counts
 
 

@@ -1,16 +1,19 @@
 """The table of inference methods that ``test`` and ``simulate`` both run.
 
 Each entry holds a name, checks that say where the method does not apply,
-and a ``run`` function on one shared :class:`Inputs`. Checks read only a
-:class:`Setting`, so the harness checks every sweep point before any data
-exist. Adding a comparator means adding one entry.
+and a ``run`` function that gives dataset j's result from one shared
+:class:`Inputs`, the datasets of one setting. Their fits run once per
+group, and a dataset whose fit failed holds the error, which its methods
+raise. Checks read only a :class:`Setting`, so the harness checks every
+sweep point before any data exist. Adding a comparator means adding one
+entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,13 +21,22 @@ from . import comparators, engine, estimators
 from .model import (
     ClusterDataset,
     EstimateVector,
+    FewClustersError,
     MethodInapplicable,
     TestConfig,
     TestResult,
+    each,
+    unwrap,
 )
 
 # the random streams a method may draw from, each with its own seed
 STREAMS = ("pairing", "crs_u", "bootstrap", "oracle", "subsample")
+
+
+def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
+    """The seed of each of the STREAMS: stream i is the i-th child that
+    SeedSequence(seed) spawns."""
+    return dict(zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS))))
 
 
 @dataclass(frozen=True)
@@ -40,63 +52,45 @@ class Setting:
 
 @dataclass(frozen=True)
 class Inputs:
-    """One dataset with the settings its methods share.
+    """The datasets of one setting with their seeds: a replication group in
+    the harness, a group of one in the CLI. ``seeds[j]`` maps each of the
+    STREAMS to dataset j's seed; "subsample", read only when
+    ``max_assignments`` is set, may be absent.
 
-    The per-cluster estimates, the matched-pair estimates, their sign-flip
-    distribution and the pooled regression are computed at most once, when
-    a method first asks. ``seeds`` maps each of the STREAMS to its seed;
-    "subsample", read only when ``max_assignments`` is set, may be absent.
-    Inputs of one setting may share a ``batch`` list, themselves included:
-    the first to ask for a fitted value then fits it for every member in one
-    batch, each value with the bits it has alone.
+    Each fitted value below is a list over the group, computed for all its
+    datasets as one batch when a method first asks. It holds each dataset's
+    value, with the bits it has alone, or the error its fit met, which a
+    method raises when it reads it.
     """
 
     setting: Setting
-    dataset: ClusterDataset
+    datasets: Sequence[ClusterDataset]
     alpha: float
-    seeds: Mapping[str, Any]
+    seeds: Sequence[Mapping[str, Any]]
     pairing: str = "random"
     max_assignments: Optional[int] = None
     bootstrap_reps: int = 199
-    batch: Optional[list] = field(default=None, compare=False, repr=False)
-
-    def _batched(self, name: str, fit: Callable[[list["Inputs"]], list]):
-        """The member's value ``name``, fitting it for the whole batch, as
-        ``fit`` of the members, when it is missing; kept as a cached
-        property keeps it."""
-        if name not in self.__dict__:
-            members = [i for i in self.batch or [self] if name not in i.__dict__]
-            for member, value in zip(members, fit(members)):
-                member.__dict__[name] = value
-        return self.__dict__[name]
-
-    @property
-    def estimates(self) -> EstimateVector:
-        return self._batched("estimates", lambda members: estimators.estimate_many(
-            [i.dataset for i in members], self.setting.estimator
-        ))
-
-    @property
-    def pair_betas(self) -> np.ndarray:
-        def fit(members):
-            pairs = [
-                comparators.pair_clusters(i.dataset, i.pairing, i.seeds["pairing"])
-                for i in members
-            ]
-            probit = self.setting.estimator == "probit"
-            return comparators.pair_betas([i.dataset for i in members], pairs, probit)
-
-        return self._batched("pair_betas", fit)
 
     @cached_property
-    def sign_flips(self) -> np.ndarray:
-        return comparators.sign_flip_statistics(self.pair_betas)
+    def estimates(self) -> list[EstimateVector | FewClustersError]:
+        return estimators.estimate_many(self.datasets, self.setting.estimator)
 
-    @property
-    def regression(self) -> comparators.PooledRegression:
-        return self._batched("regression", lambda members: comparators.pooled_regressions(
-            [i.dataset for i in members]
-        ))
+    @cached_property
+    def pair_betas(self) -> list[np.ndarray | FewClustersError]:
+        pairs = [
+            comparators.pair_clusters(dataset, self.pairing, seeds["pairing"])
+            for dataset, seeds in zip(self.datasets, self.seeds)
+        ]
+        probit = self.setting.estimator == "probit"
+        return comparators.pair_betas(self.datasets, pairs, probit)
+
+    @cached_property
+    def sign_flips(self) -> list[np.ndarray | FewClustersError]:
+        return each(comparators.sign_flip_statistics, self.pair_betas)
+
+    @cached_property
+    def regression(self) -> list[comparators.PooledRegression | FewClustersError]:
+        return comparators.pooled_regressions(self.datasets)
 
 
 # A check gives the reason why a method does not apply in a setting, or None.
@@ -128,7 +122,7 @@ def _adjusted_two_per_group(s: Setting) -> Optional[str]:
 @dataclass(frozen=True)
 class Method:
     name: str
-    run: Callable[[Inputs], TestResult]
+    run: Callable[[Inputs, int], TestResult]  # (inputs, j): dataset j's result
     checks: tuple[Check, ...] = ()
 
     def check(self, s: Setting) -> None:
@@ -142,36 +136,35 @@ class Method:
                 )
 
 
-def _placebo(i: Inputs, adjustment: Optional[str] = None) -> TestResult:
-    s, seed = i.setting, i.seeds.get("subsample", 0)
-    cfg = TestConfig(
-        i.alpha, s.side, adjustment or s.adjustment, i.max_assignments, seed
-    )
-    return engine.run_placebo_test(i.estimates, cfg)
+def _placebo(i: Inputs, j: int, adjustment: Optional[str] = None) -> TestResult:
+    s, seed = i.setting, i.seeds[j].get("subsample", 0)
+    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, i.max_assignments, seed)
+    return engine.run_placebo_test(unwrap(i.estimates[j]), cfg)
 
 
-def _im(i: Inputs) -> TestResult:
-    return comparators.im_t_test(i.estimates, i.alpha, i.setting.side)
+def _im(i: Inputs, j: int) -> TestResult:
+    return comparators.im_t_test(unwrap(i.estimates[j]), i.alpha, i.setting.side)
 
 
-def _crs(i: Inputs, randomized: bool = False) -> TestResult:
-    seed = i.seeds["crs_u"] if randomized else None
-    return comparators.sign_flip_test(i.sign_flips, i.alpha, randomized, seed)
+def _crs(i: Inputs, j: int, randomized: bool = False) -> TestResult:
+    seed = i.seeds[j]["crs_u"] if randomized else None
+    return comparators.sign_flip_test(unwrap(i.sign_flips[j]), i.alpha, randomized, seed)
 
 
-def _wild_bootstrap(i: Inputs) -> TestResult:
+def _wild_bootstrap(i: Inputs, j: int) -> TestResult:
     return comparators.wild_bootstrap_pooled(
-        i.regression, i.alpha, i.setting.side, i.bootstrap_reps, i.seeds["bootstrap"]
+        unwrap(i.regression[j]), i.alpha, i.setting.side, i.bootstrap_reps,
+        i.seeds[j]["bootstrap"],
     )
 
 
-def _bch_t(i: Inputs) -> TestResult:
-    return comparators.bch_t_test(i.regression.fit, i.alpha, i.setting.side)
+def _bch_t(i: Inputs, j: int) -> TestResult:
+    return comparators.bch_t_test(unwrap(i.regression[j]).fit, i.alpha, i.setting.side)
 
 
-def _oracle(i: Inputs) -> TestResult:
+def _oracle(i: Inputs, j: int) -> TestResult:
     """Rejects with probability alpha: the p-value is one uniform draw."""
-    u = float(np.random.default_rng(i.seeds["oracle"]).uniform())
+    u = float(np.random.default_rng(i.seeds[j]["oracle"]).uniform())
     return TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0)
 
 
@@ -182,10 +175,10 @@ TABLE: dict[str, Method] = {
     m.name: m
     for m in (
         Method("placebo", _placebo, (_adjusted_two_per_group,)),
-        Method("placebo_unadjusted", lambda i: _placebo(i, "unadjusted")),
+        Method("placebo_unadjusted", lambda i, j: _placebo(i, j, "unadjusted")),
         Method("im", _im, (_two_per_group,)),
         Method("crs", _crs, _PAIRED),
-        Method("crs_randomized", lambda i: _crs(i, randomized=True), _PAIRED),
+        Method("crs_randomized", lambda i, j: _crs(i, j, randomized=True), _PAIRED),
         Method("wild_bootstrap", _wild_bootstrap, _OLS),
         Method("bch_t", _bch_t, _OLS),
         Method("oracle", _oracle, (_greater_only,)),

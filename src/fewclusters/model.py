@@ -102,6 +102,26 @@ class EstimationError(FewClustersError):
         return type(self), (self.cluster_id, self.cause, self.partner)
 
 
+def unwrap(value):
+    """One dataset's value from a batch, raised if it is that dataset's error."""
+    if isinstance(value, FewClustersError):
+        raise value
+    return value
+
+
+def each(f, *columns) -> list:
+    """f of each dataset's values, one from each column, or that dataset's
+    error: the first error among its values, else the one f raises."""
+    results = []
+    for values in zip(*columns):
+        try:
+            results.append(f(*map(unwrap, values)))
+        except FewClustersError as exc:
+            # kept without its traceback, whose frames would hold ``results``
+            results.append(exc.with_traceback(None))
+    return results
+
+
 def _read_only(values, error: type, message: str) -> np.ndarray:
     """A C-ordered float64 copy of ``values`` that cannot be written to."""
     try:

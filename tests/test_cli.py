@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fewclusters
-from fewclusters import estimators
+from fewclusters import comparators, estimators
 from fewclusters.cli import (
     EXIT_DATA_ERROR,
     EXIT_INAPPLICABLE,
@@ -20,7 +20,7 @@ from fewclusters.cli import (
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.harness import spec_from_dict
-from fewclusters.methods import TABLE
+from fewclusters.methods import STREAMS, TABLE, seed_streams
 from fewclusters.model import DataError
 
 
@@ -218,6 +218,37 @@ class TestTestCommand:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_seed_spawns_one_stream_per_name(self):
+        # one seed for every stream would draw crs_u's uniform from the
+        # state the random pairing's permutation also starts from
+        children = np.random.SeedSequence(3).spawn(len(STREAMS))
+        streams = seed_streams(3)
+        states = [streams[name].generate_state(4).tolist() for name in STREAMS]
+        assert states == [child.generate_state(4).tolist() for child in children]
+        assert len({tuple(states[STREAMS.index(name)])
+                    for name in ("pairing", "crs_u", "bootstrap")}) == 3
+
+    def test_seeded_methods_read_their_spawned_streams(self, tmp_path, capsys):
+        csv_path = write_csv(tmp_path / "d.csv", n_clusters=10, effect=0.5)
+        ds = read_csv_dataset(csv_path)
+        pairing, crs_u, bootstrap = np.random.SeedSequence(3).spawn(3)
+        pairs = comparators.pair_clusters(ds, "random", pairing)
+        pair_betas = comparators.pair_beta_ols(ds, pairs)
+        expected = {
+            "crs_randomized": comparators.crs_sign_test(pair_betas, 0.05, True, crs_u),
+            "wild_bootstrap": comparators.wild_cluster_bootstrap_test(
+                ds, 0.05, seed=bootstrap
+            ),
+        }
+        for method, result in expected.items():
+            code, report = self.run(
+                capsys, "test", "--input", str(csv_path), "--method", method, "--seed", "3"
+            )
+            assert code == EXIT_OK
+            assert (report["statistic"], report["p_value"], report["reject"]) == (
+                result.statistic, result.p_value, result.reject
+            )
 
     def test_subsampled_permutations(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "d.csv", n_clusters=8)

@@ -251,16 +251,17 @@ class TestCrsSignTest:
     def test_both_methods_share_one_distribution(self, monkeypatch):
         ds = gen_linear(LinearDesign(q1=5, q0=5, h=2), 4)
         seeds = {"pairing": 1, "crs_u": 2}
-        inputs = Inputs(Setting("ols_intercept", 5, 5), ds, 0.1, seeds)
+        inputs = Inputs(Setting("ols_intercept", 5, 5), [ds], 0.1, [seeds])
         calls = []
         monkeypatch.setattr(
             comparators, "sign_flip_statistics",
             lambda b: calls.append(1) or sign_flip_statistics(b),
         )
-        plain, randomized = TABLE["crs"].run(inputs), TABLE["crs_randomized"].run(inputs)
+        plain = TABLE["crs"].run(inputs, 0)
+        randomized = TABLE["crs_randomized"].run(inputs, 0)
         assert len(calls) == 1
-        assert plain == crs_sign_test(inputs.pair_betas, 0.1)
-        assert randomized == crs_sign_test(inputs.pair_betas, 0.1, True, 2)
+        assert plain == crs_sign_test(inputs.pair_betas[0], 0.1)
+        assert randomized == crs_sign_test(inputs.pair_betas[0], 0.1, True, 2)
 
 
 class TestCrve:

@@ -11,13 +11,21 @@ import pytest
 from scipy.stats import norm
 
 from fewclusters import estimators
-from fewclusters.comparators import pair_beta_ols, pair_beta_probit, pair_clusters
+from fewclusters.comparators import (
+    pair_beta_ols,
+    pair_beta_probit,
+    pair_betas,
+    pair_clusters,
+    pooled_regression,
+    pooled_regressions,
+)
 from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
 from fewclusters.estimators import (
     MAX_NEWTON_ITER,
     MOMENT_TOL,
     estimate_all,
     did_slope,
+    estimate_many,
     fit_groups,
     least_squares,
     ols_intercept,
@@ -30,6 +38,7 @@ from fewclusters.estimators import (
 from fewclusters.model import (
     Cluster,
     EstimationError,
+    FewClustersError,
     MissingPeriodFlag,
     NoConvergence,
     RankDeficient,
@@ -558,3 +567,70 @@ class TestOneFitPath:
         )
         with pytest.raises(EstimationError, match="constant binary outcome"):
             pair_beta_probit(flipped, pair_clusters(flipped, "by_size"))
+
+
+def replaced(dataset, k, constant=None, rows=None):
+    """The dataset with cluster k's outcomes made constant, or cut to its
+    first rows."""
+    clusters = list(dataset)
+    c = clusters[k]
+    y = c.outcomes if constant is None else np.full(c.size, constant)
+    clusters[k] = Cluster.from_arrays(c.id, c.treated, y[:rows], c.covariate_matrix[:rows])
+    return validate_dataset(clusters)
+
+
+def assert_per_dataset(batch, alone, same):
+    """Each good dataset j's value in ``batch`` is bitwise ``alone(j)``, and
+    the one failing dataset holds the error of the type and message that
+    ``alone(j)`` raises."""
+    failures = 0
+    for j, value in enumerate(batch):
+        try:
+            one = alone(j)
+        except FewClustersError as exc:
+            failures += 1
+            assert type(value) is type(exc) and str(value) == str(exc)
+        else:
+            assert same(value, one)
+    assert failures == 1
+
+
+class TestPerDatasetValues:
+    """A batch's fits mixing good datasets with one failing dataset."""
+
+    def test_estimate_many_with_a_short_cluster(self):
+        datasets = [gen_linear(LinearDesign(), seed) for seed in range(4)]
+        # 3 rows cannot identify the intercept and 5 covariate slopes
+        datasets.insert(2, replaced(datasets[2], 4, rows=3))
+        assert_per_dataset(
+            estimate_many(datasets, "ols_intercept"),
+            lambda j: estimate_all(datasets[j], "ols_intercept"),
+            lambda a, b: a.values.tolist() == b.values.tolist(),
+        )
+
+    def test_pair_betas_with_a_constant_outcome_cluster(self):
+        design = ProbitDesign(beta=0.3, size_range=(150, 200))
+        datasets = [gen_probit(design, seed) for seed in range(4)]
+        datasets.insert(1, replaced(datasets[1], 3, constant=1.0))
+        pairs = [pair_clusters(ds, "random", seed) for seed, ds in enumerate(datasets)]
+        batch = pair_betas(datasets, pairs, probit=True)
+        assert_per_dataset(
+            batch, lambda j: pair_beta_probit(datasets[j], pairs[j]),
+            lambda a, b: a.tolist() == b.tolist(),
+        )
+        assert str(batch[1]).endswith("constant binary outcome")
+
+    def test_pooled_regressions_without_residual_rows(self):
+        datasets = [gen_linear(LinearDesign(), seed) for seed in range(4)]
+        x = np.ones((1, 5))
+        # n = 2 rows for the intercept, the dummy and 5 covariates
+        datasets.insert(3, validate_dataset([
+            Cluster.from_arrays("t", True, [1.0], x),
+            Cluster.from_arrays("u", False, [2.0], x),
+        ]))
+        assert_per_dataset(
+            pooled_regressions(datasets), lambda j: pooled_regression(datasets[j]),
+            lambda a, b: all(
+                getattr(a, f).tolist() == getattr(b, f).tolist() for f in "hta"
+            ) and a.n == b.n,
+        )

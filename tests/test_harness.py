@@ -162,10 +162,10 @@ class TestReplicationGroups:
         ]
 
         def failing_at(rep, name):
-            def run(inputs):
-                if inputs.dataset.clusters[0].outcomes[0] == first[rep]:
+            def run(inputs, j):
+                if inputs.datasets[j].clusters[0].outcomes[0] == first[rep]:
                     raise FewClustersError(f"{name} failed at replication {rep}")
-                return TABLE["oracle"].run(inputs)
+                return TABLE["oracle"].run(inputs, j)
             return Method(name, run)
 
         monkeypatch.setitem(TABLE, "placebo", failing_at(5, "placebo"))
