@@ -17,7 +17,6 @@ from .engine import (
 )
 from .estimators import (
     FitResult,
-    did_slope,
     estimate_all,
     ols_intercept,
     probit_z_estimate,
@@ -65,7 +64,6 @@ __all__ = [
     "bch_t_test",
     "circular_ma",
     "crs_sign_test",
-    "did_slope",
     "emit_csv",
     "emit_svg",
     "estimate_all",

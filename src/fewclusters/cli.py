@@ -42,10 +42,10 @@ def _parse_binary(raw: str, column: str, row_num: int) -> bool:
 
 
 def read_csv_dataset(path) -> ClusterDataset:
-    """Read clusters from a UTF-8 CSV with columns cluster_id, treated,
-    outcome, optional post, and optional covariate columns x1..xd."""
+    """Read clusters from a UTF-8 CSV (a byte-order mark is skipped) with columns
+    cluster_id, treated, outcome, optional post and covariates x1..xd."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _read_rows(path, csv.DictReader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
@@ -153,7 +153,7 @@ def _error(exc: Exception) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
@@ -167,12 +167,12 @@ def cmd_simulate(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         table = harness.run_experiment(spec, workers=args.threads)
+        csv_path = out_dir / "rejection_table.csv"
+        svg_path = out_dir / f"rejection_{spec.sweep_param}.svg"
+        harness.emit_csv(table, csv_path)
+        harness.emit_svg(table, svg_path, alpha=spec.alpha)
     except (FewClustersError, OSError) as exc:
         return _error(exc)
-    csv_path = out_dir / "rejection_table.csv"
-    svg_path = out_dir / f"rejection_{spec.sweep_param}.svg"
-    harness.emit_csv(table, csv_path)
-    harness.emit_svg(table, svg_path, alpha=spec.alpha)
     print(
         f"wrote {csv_path} and {svg_path}: {len(spec.methods)} methods x "
         f"{len(spec.sweep_values)} sweep values x {spec.replications} replications"

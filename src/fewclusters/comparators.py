@@ -6,7 +6,8 @@ cluster-robust variance estimator (CRVE), the t(q-1) test based on it, and
 the wild cluster bootstrap with 6-point weights and the null imposed. Their
 designs come from ``estimators.stacked_design``, which reads a dataset's
 rows through its offsets, and their fits from the estimators' one fit path
-and its rank rule.
+and its rank rule. The sign-change test decides, and warns of zero power,
+by the placebo test's rule: ``engine.one_sided_greater`` and ``zero_power``.
 """
 
 from __future__ import annotations
@@ -174,19 +175,14 @@ def sign_flip_statistics(beta_hats: Sequence[float]) -> np.ndarray:
 def sign_flip_test(
     values: np.ndarray, alpha: float, randomized: bool = False, seed: Optional[int] = None
 ) -> TestResult:
-    """:func:`crs_sign_test` on the sign-flip distribution ``values``."""
+    """:func:`crs_sign_test` on the sign-flip distribution ``values``; the
+    randomized test rejects when its test function reaches a uniform draw."""
     observed = float(values[0])
-    c, delta = engine.randomized_threshold(values, alpha)
-    p = engine.p_value(observed, values)
+    c, delta, p, reject = engine.one_sided_greater(values, alpha)
     if randomized:
         u = float(np.random.default_rng(seed).uniform())
-        phi = 1.0 if observed > c else (delta if observed == c else 0.0)
+        phi = 1.0 if reject else (delta if observed == c else 0.0)
         reject = phi >= u
-    else:
-        reject = observed > c
-    warnings: tuple[str, ...] = ()
-    if not randomized and math.floor(values.shape[0] * alpha) == 0:
-        warnings = (engine.ZERO_POWER_WARNING,)
     return TestResult(
         statistic=observed,
         critical_value=c,
@@ -194,7 +190,7 @@ def sign_flip_test(
         reject=bool(reject),
         n_assignments=int(values.shape[0]),
         randomized_threshold=delta,
-        warnings=warnings,
+        warnings=() if randomized else engine.zero_power(values.shape[0], alpha),
     )
 
 

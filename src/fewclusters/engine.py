@@ -208,25 +208,10 @@ def randomized_threshold(
     return c, delta
 
 
-def placebo_statistics(
-    values: np.ndarray, mask: np.ndarray, q1: int, adjusted: bool
-) -> np.ndarray:
-    """Evaluate the placebo statistic for every assignment row of ``mask``.
-
-    Row 0 must be the identity assignment. With adjustment, a degenerate
-    placebo split (zero two-sample variance away from the identity) maps to
-    a signed infinity, or 0.0 when its comparison of means is also zero;
-    this keeps quantiles and p-values well defined for degenerate inputs.
-    """
-    v = np.asarray(values, dtype=float)
-    moments = (v, v * v) if adjusted else (v,)
-    return _statistics(moments, [_mask_sums(mask, moments)], mask.shape[0], q1)
-
-
 def _statistics(
     moments: Moments, blocks: Iterable[Moments], n: int, q1: int
 ) -> np.ndarray:
-    """``placebo_statistics`` of n assignments from blocks of treated sums.
+    """The placebo statistics of n assignments from blocks of treated sums.
 
     Each block holds, for consecutive assignments (identity first), every
     moment summed over the treated clusters: ``(sum_t,)`` unadjusted,
@@ -273,14 +258,20 @@ def _statistics(
     return stats
 
 
-def _one_sided_greater(
+def one_sided_greater(
     stats: np.ndarray, alpha: float
 ) -> tuple[float, float, float, bool]:
-    """Critical value, tie-splitting probability, p-value and decision of the
-    test that rejects for large values of stats[0]."""
+    """Critical value c, tie-splitting probability, p-value and decision
+    observed > c of the test that rejects for large stats[0]; as stats holds
+    the observed statistic, the decision is p <= alpha."""
     observed = float(stats[0])
     c, delta = randomized_threshold(stats, alpha)
     return c, delta, p_value(observed, stats), observed > c
+
+
+def zero_power(n: int, alpha: float) -> tuple[str, ...]:
+    """Warnings of a non-randomized test of n draws: none, or zero power."""
+    return (ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else ()
 
 
 def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
@@ -290,7 +281,9 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
     sums without a mask row; or, when ``cfg.max_assignments`` is below that
     count, the identity plus that many seeded draws. Raises
     TooManyAssignments before any work when full enumeration would exceed
-    ENUMERATION_CAP.
+    ENUMERATION_CAP. With adjustment, a split of zero two-sample variance
+    away from the identity gives a signed infinity, or 0.0 when its
+    comparison of means is 0 too, so quantiles and p-values stay defined.
     """
     layout = x.layout
     adjusted = cfg.adjustment == "adjusted"
@@ -330,13 +323,13 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
     n = stats.shape[0]
     if cfg.side == "two_sided":
         alpha = cfg.alpha / 2.0
-        c, delta, p_plus, rej_plus = _one_sided_greater(stats, alpha)
-        _, _, p_minus, rej_minus = _one_sided_greater(-stats, alpha)
+        c, delta, p_plus, rej_plus = one_sided_greater(stats, alpha)
+        _, _, p_minus, rej_minus = one_sided_greater(-stats, alpha)
         p, reject = min(1.0, 2.0 * min(p_plus, p_minus)), rej_plus or rej_minus
     else:
         alpha = cfg.alpha
         signed = stats if cfg.side == "greater" else -stats
-        c, delta, p, reject = _one_sided_greater(signed, alpha)
+        c, delta, p, reject = one_sided_greater(signed, alpha)
     return TestResult(
         statistic=float(stats[0]),
         critical_value=c,
@@ -346,5 +339,5 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
         side=cfg.side,
         adjustment=cfg.adjustment,
         randomized_threshold=delta,
-        warnings=(ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else (),
+        warnings=zero_power(n, alpha),
     )

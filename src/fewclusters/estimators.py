@@ -463,12 +463,11 @@ ESTIMATORS: dict[str, tuple[Optional[str], bool]] = {
 }
 
 
-def _fit_one(estimator: str, cluster: Cluster) -> FitResult:
-    """The estimator's fit of one cluster, its design built from the
-    cluster's own columns; a failed fit raises its own error."""
-    dummy, probit = ESTIMATORS[estimator]
-    lead = [np.ones(cluster.size)] + ([cluster.post_flags] if dummy else [])
-    design, y = np.column_stack(lead + [cluster.covariate_matrix]), cluster.outcomes
+def _fit_one(cluster: Cluster, probit: bool) -> FitResult:
+    """The intercept of one cluster's fit on (1, covariates), its design
+    built from the cluster's own columns; a failed fit raises its own error."""
+    design = np.column_stack([np.ones(cluster.size), cluster.covariate_matrix])
+    y = cluster.outcomes
     if probit:
         y, constant = _successes(y, [0])
         if constant[0]:
@@ -476,23 +475,12 @@ def _fit_one(estimator: str, cluster: Cluster) -> FitResult:
     (fit,) = _fit([design], [y], probit)
     if isinstance(fit, FewClustersError):
         raise fit
-    theta = 0 if dummy is None else 1
-    # the other coefficients, the intercept (the fixed effect) first
-    return FitResult(float(fit[0][theta]), np.delete(fit[0], theta), fit[1])
+    return FitResult(float(fit[0][0]), fit[0][1:], fit[1])
 
 
 def ols_intercept(cluster: Cluster) -> FitResult:
     """Intercept of the within-cluster regression of outcome on covariates."""
-    return _fit_one("ols_intercept", cluster)
-
-
-def did_slope(cluster: Cluster) -> FitResult:
-    """Coefficient on the post-period dummy in the within-cluster regression.
-
-    The regression is outcome on (1, post, covariates); the constant plays
-    the role of the cluster fixed effect.
-    """
-    return _fit_one("did_slope", cluster)
+    return _fit_one(cluster, probit=False)
 
 
 def probit_z_estimate(cluster: Cluster) -> FitResult:
@@ -502,7 +490,7 @@ def probit_z_estimate(cluster: Cluster) -> FitResult:
     outcome values must be present, otherwise the moment condition has no
     zero and a Separation error is raised.
     """
-    return _fit_one("probit", cluster)
+    return _fit_one(cluster, probit=True)
 
 
 def estimate_all(dataset: ClusterDataset, method: str) -> EstimateVector:

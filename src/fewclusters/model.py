@@ -239,13 +239,6 @@ class Cluster:
     def covariate_dim(self) -> int:
         return self.covariate_matrix.shape[1]
 
-    @property
-    def post_flags(self) -> np.ndarray:
-        """0/1 post-period indicators; raises if the cluster has none."""
-        if self.post is None:
-            raise MissingPeriodFlag("no post indicator")
-        return self.post
-
 
 @dataclass(frozen=True)
 class ClusterLayout:

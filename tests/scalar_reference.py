@@ -2,7 +2,9 @@
 
 The tests hold the engine's streamed mask rows and ``im_t_test`` to this
 independent reference. The adjustment factor compensates for unbalanced
-group sizes; it does not studentize.
+group sizes; it does not studentize. :func:`placebo_statistics` is instead
+the engine's own arithmetic on explicit mask rows, which full enumeration's
+prefix and suffix sums must match bitwise.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fewclusters.engine import ENUMERATION_CAP
+from fewclusters import engine
 from fewclusters.model import (
     ClusterLayout,
     EstimateVector,
@@ -52,7 +54,7 @@ class Assignment:
 
 
 def enumerate_assignments(
-    layout: ClusterLayout, cap: int = ENUMERATION_CAP
+    layout: ClusterLayout, cap: int = engine.ENUMERATION_CAP
 ) -> list[Assignment]:
     """All C(q, q1) treated-index combinations, identity first, lexicographic."""
     total = math.comb(layout.q, layout.q1)
@@ -138,3 +140,14 @@ def adjusted_statistic(x: EstimateVector, a: Assignment) -> float:
         )
     s_obs = two_sample_variance(x, Assignment.identity(x.layout))
     return comparison_of_means(x, a) * math.sqrt(s_obs / s_pi)
+
+
+def placebo_statistics(
+    values: np.ndarray, mask: np.ndarray, q1: int, adjusted: bool
+) -> np.ndarray:
+    """The placebo statistic of every assignment row of a bool ``mask``, row
+    0 the identity, from each row's treated sums."""
+    v = np.asarray(values, dtype=float)
+    moments = (v, v * v) if adjusted else (v,)
+    sums = engine._mask_sums(mask, moments)
+    return engine._statistics(moments, [sums], mask.shape[0], q1)

@@ -116,7 +116,7 @@ class TestReadCsv:
             "a,1,1.0,0\na,1,2.0,1\nb,0,1.0,0\nb,0,1.5,1\n"
         )
         ds = read_csv_dataset(p)
-        assert list(ds.clusters[0].post_flags) == [0.0, 1.0]
+        assert list(ds.clusters[0].post) == [0.0, 1.0]
 
 
 class TestTestCommand:
@@ -162,6 +162,19 @@ class TestTestCommand:
         )
         assert code == EXIT_OK
         assert report["reject"] == (report["p_value"] <= 0.05)
+
+    @pytest.mark.parametrize("method", ["placebo", "im"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys, method):
+        # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+        plain = write_csv(tmp_path / "plain.csv", effect=2.0)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = [
+            self.run(capsys, "test", "--input", str(p), "--method", method)
+            for p in (plain, marked)
+        ]
+        assert runs[0][0] == EXIT_OK
+        assert runs[1] == runs[0]
 
     def test_missing_column_exit_code(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
@@ -529,6 +542,28 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config), "--out", str(config)])
         assert code == EXIT_DATA_ERROR
         assert "config.json" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        tables = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            config = tmp_path / f"{name}.json"
+            config.write_text(mark + json.dumps(self.CONFIG), encoding="utf-8")
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            tables.append((out / "rejection_table.csv").read_bytes())
+        assert tables[1] == tables[0]
+
+    @pytest.mark.parametrize("output", ["rejection_table.csv", "rejection_beta.svg"])
+    def test_failed_output_write_exit_code(self, tmp_path, capsys, output):
+        # the sweep runs, then writing one of its files fails
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert err.startswith("error: ") and str(out / output) in err
 
     def test_unreadable_config(self, tmp_path):
         code = main(

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 from fewclusters import comparators
@@ -247,6 +249,31 @@ class TestCrsSignTest:
             r2 = crs_sign_test(b * 37.5, alpha=0.10)
             assert r1.reject == r2.reject
             assert r1.p_value == pytest.approx(r2.p_value)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shares_the_placebo_decision_rule(self, data):
+        # a few magnitudes, their negatives and zeros make tied statistics
+        q1 = data.draw(st.integers(2, 8), label="q1")
+        magnitudes = data.draw(
+            st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3), label="magnitudes"
+        )
+        estimate = st.one_of(
+            st.just(0.0),
+            st.sampled_from(magnitudes),
+            st.sampled_from(magnitudes).map(lambda v: -v),
+            st.floats(-5.0, 5.0),
+        )
+        b = data.draw(st.lists(estimate, min_size=q1, max_size=q1), label="b")
+        alpha = data.draw(st.sampled_from([0.01, 0.05, 0.2, 0.5]), label="alpha")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        plain = crs_sign_test(b, alpha)
+        assert plain.reject == (plain.p_value <= alpha)
+        assert bool(plain.warnings) == (math.floor(2**q1 * alpha) == 0)
+        randomized = crs_sign_test(b, alpha, randomized=True, seed=seed)
+        assert randomized.warnings == ()
+        rule = ("critical_value", "p_value", "randomized_threshold")
+        assert [getattr(randomized, k) for k in rule] == [getattr(plain, k) for k in rule]
 
     def test_both_methods_share_one_distribution(self, monkeypatch):
         ds = gen_linear(LinearDesign(q1=5, q0=5, h=2), 4)

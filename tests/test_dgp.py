@@ -13,7 +13,7 @@ from fewclusters.dgp import (
     gen_linear,
     gen_probit,
 )
-from fewclusters.estimators import did_slope
+from fewclusters.estimators import estimate_all
 from fewclusters.model import HOutOfRange
 
 
@@ -358,7 +358,7 @@ class TestGenDidPanel:
         ds = gen_did_panel(q1=2, q0=2, periods=6, t0=3, beta=1.0, seed=0)
         assert ds.layout.q1 == 2 and ds.layout.q0 == 2
         for c in ds.clusters:
-            np.testing.assert_array_equal(c.post_flags, [0, 0, 0, 1, 1, 1])
+            np.testing.assert_array_equal(c.post, [0, 0, 0, 1, 1, 1])
 
     def test_noiseless_recovery(self):
         # without noise the post-period slope is exactly theta0 (+ beta for
@@ -367,6 +367,7 @@ class TestGenDidPanel:
             q1=2, q0=2, periods=8, t0=4, beta=2.0, seed=1,
             theta0=0.5, noise_scale=0.0,
         )
-        for c in ds.clusters:
+        slopes = estimate_all(ds, "did_slope").values
+        for c, slope in zip(ds.clusters, slopes):
             expected = 2.5 if c.treated else 0.5
-            assert did_slope(c).theta == pytest.approx(expected, abs=1e-12)
+            assert slope == pytest.approx(expected, abs=1e-12)

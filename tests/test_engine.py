@@ -20,7 +20,6 @@ from fewclusters.engine import (
     p_value,
     permutation_quantile,
     placebo_distribution,
-    placebo_statistics,
     randomized_threshold,
     run_placebo_test,
 )
@@ -35,6 +34,7 @@ from fewclusters.model import (
 from scalar_reference import (
     adjusted_statistic,
     enumerate_assignments,
+    placebo_statistics,
     subsample_assignments,
 )
 

@@ -24,7 +24,6 @@ from fewclusters.estimators import (
     MAX_NEWTON_ITER,
     MOMENT_TOL,
     estimate_all,
-    did_slope,
     estimate_many,
     fit_groups,
     least_squares,
@@ -109,7 +108,7 @@ from fewclusters.comparators import (
     pair_beta_ols, pair_clusters, pooled_regression, pooled_regressions,
 )
 from fewclusters.dgp import LinearDesign
-from fewclusters.estimators import did_slope, estimate_many, ols_intercept
+from fewclusters.estimators import estimate_many, fit_groups, ols_intercept
 from fewclusters.model import Cluster, validate_dataset
 fits = mismatches = 0
 datasets = []
@@ -125,7 +124,10 @@ for seed in range(150):
     datasets.append(ds)
     for batch, one in [
         (estimate_all(ds, "ols_intercept").values, [ols_intercept(c).theta for c in ds]),
-        (estimate_all(did, "did_slope").values, [did_slope(c).theta for c in did]),
+        (
+            estimate_all(did, "did_slope").values,
+            [fit_groups([did], [[(k,)]], "post")[0][0][1] for k in range(12)],
+        ),
         (pair_beta_ols(ds, pairs), [pair_beta_ols(ds, [pair])[0] for pair in pairs]),
     ]:
         mismatches += int((batch != np.array(one)).sum())
@@ -207,31 +209,59 @@ class TestOlsIntercept:
         np.testing.assert_allclose(fit.nuisance, beta, atol=1e-10)
 
 
+def did_dataset(c):
+    """A dataset of the treated cluster c and an untreated one, which has post
+    flags when c has them."""
+    post = None if c.post is None else [0, 1, 1]
+    return validate_dataset([c, Cluster.from_arrays("o", False, [0.0, 1.0, 3.0], post=post)])
+
+
+def did_reference(c):
+    """The coefficients of outcome on (1, post, covariates), by lstsq."""
+    design = np.column_stack([np.ones(c.size), c.post, c.covariate_matrix])
+    return np.linalg.lstsq(design, c.outcomes, rcond=None)[0]
+
+
 class TestDidSlope:
     def test_two_period_difference(self):
         c = Cluster.from_arrays(
             "a", True, [1.0, 1.0, 3.0, 3.0], post=[False, False, True, True]
         )
-        assert did_slope(c).theta == pytest.approx(2.0)
+        theta = estimate_all(did_dataset(c), "did_slope").values[0]
+        assert theta == pytest.approx(2.0)
+        assert theta == pytest.approx(did_reference(c)[1])
 
     def test_with_fixed_effect(self):
         # pre mean 5, post mean 6: slope 1 regardless of the level
         c = Cluster.from_arrays(
             "a", True, [5.0, 5.0, 6.0, 6.0], post=[False, False, True, True]
         )
-        fit = did_slope(c)
-        assert fit.theta == pytest.approx(1.0)
-        assert fit.nuisance[0] == pytest.approx(5.0)
+        ds = did_dataset(c)
+        assert estimate_all(ds, "did_slope").values[0] == pytest.approx(1.0)
+        coef, _ = fit_groups([ds], [[(0,)]], "post")[0]
+        np.testing.assert_allclose(coef, [5.0, 1.0])
+        np.testing.assert_allclose(coef, did_reference(c))
 
     def test_all_post_rank_deficient(self):
         c = Cluster.from_arrays("a", True, [1.0, 2.0], post=[True, True])
-        with pytest.raises(RankDeficient):
-            did_slope(c)
+        with pytest.raises(EstimationError) as info:
+            estimate_all(did_dataset(c), "did_slope")
+        assert info.value.cluster_id == "a"
+        assert isinstance(info.value.cause, RankDeficient)
 
     def test_missing_flag(self):
         c = Cluster.from_arrays("a", True, [1.0, 2.0], post=None)
-        with pytest.raises(MissingPeriodFlag):
-            did_slope(c)
+        with pytest.raises(EstimationError) as info:
+            estimate_all(did_dataset(c), "did_slope")
+        assert isinstance(info.value.cause, MissingPeriodFlag)
+
+    def test_equals_least_squares_reference(self):
+        for seed in range(4):
+            ds = with_post(gen_linear(LinearDesign(q1=3, q0=3, h=2), seed))
+            expected = [did_reference(c)[1] for c in ds]
+            np.testing.assert_allclose(
+                estimate_all(ds, "did_slope").values, expected, rtol=1e-10, atol=1e-12
+            )
 
 
 class TestProbit:
@@ -489,10 +519,18 @@ def one_fit_path_dataset(estimator, seed):
     return with_post(ds) if estimator == "did_slope" else ds
 
 
+def did_fit(c):
+    """The post-period slope of one cluster's own (1, post, covariates)
+    design, solved as a batch of one."""
+    design = np.column_stack([np.ones(c.size), c.post, c.covariate_matrix])
+    return least_squares([design], [c.outcomes])[0][1]
+
+
+# estimator -> the θ of one cluster, fitted on its own
 PUBLIC_FITS = {
-    "ols_intercept": ols_intercept,
-    "did_slope": did_slope,
-    "probit": probit_z_estimate,
+    "ols_intercept": lambda c: ols_intercept(c).theta,
+    "did_slope": did_fit,
+    "probit": lambda c: probit_z_estimate(c).theta,
 }
 
 
@@ -501,7 +539,7 @@ class TestOneFitPath:
     def test_estimate_all_equals_per_cluster_fits(self, estimator):
         for seed in range(4):
             ds = one_fit_path_dataset(estimator, seed)
-            one = [PUBLIC_FITS[estimator](c).theta for c in ds]
+            one = [PUBLIC_FITS[estimator](c) for c in ds]
             assert estimate_all(ds, estimator).values.tolist() == one
 
     @pytest.mark.parametrize("pair_beta", [pair_beta_ols, pair_beta_probit])

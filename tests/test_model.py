@@ -141,7 +141,7 @@ class TestCluster:
     def test_arrays_read_only(self):
         y = np.array([1.0, 2.0])
         c = Cluster.from_arrays("x", True, y, post=[0, 1])
-        for array in (c.outcomes, c.covariate_matrix, c.post_flags):
+        for array in (c.outcomes, c.covariate_matrix, c.post):
             with pytest.raises(ValueError):
                 array[0] = 5.0
         y[0] = 9.0  # the cluster keeps its own copy
@@ -154,7 +154,7 @@ class TestCluster:
         )
         np.testing.assert_array_equal(c.outcomes, [1.0, 2.0])
         np.testing.assert_array_equal(c.covariate_matrix, [[3.0], [4.0]])
-        np.testing.assert_array_equal(c.post_flags, [0.0, 1.0])
+        np.testing.assert_array_equal(c.post, [0.0, 1.0])
 
 
 class TestColumnarChecks:
