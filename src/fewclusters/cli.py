@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .methods import TABLE, Inputs, Setting, seed_streams
+from .methods import TABLE, Inputs, Setting
 from .model import (
     ClusterDataset,
     DataError,
@@ -124,10 +124,10 @@ def cmd_test(args) -> int:
             _ESTIMATORS[args.estimator], q1, q0, _SIDES[args.side], adjustment
         )
         method.check(setting)  # before any estimation
-        seeds = [seed_streams(args.seed)]
-        result = method.run(
-            Inputs(setting, [dataset], args.alpha, seeds, args.pairing, args.max_perms), 0
+        inputs = Inputs(
+            setting, [dataset], args.alpha, args.seed, [()], args.pairing, args.max_perms
         )
+        result = method.run(inputs, 0)
     except (FewClustersError, OSError) as exc:
         return _error(exc)
     report = {"method": args.method, "estimator": args.estimator}
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_POSITIVE,
         default=1,
-        help="worker processes (default: 1)",
+        help="worker processes, at most the CPU count (default: 1)",
     )
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -16,7 +16,7 @@ import heapq
 import itertools
 import math
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -274,16 +274,30 @@ def zero_power(n: int, alpha: float) -> tuple[str, ...]:
     return (ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else ()
 
 
+def checked_count(q: int, q1: int, max_assignments: Optional[int] = None) -> int:
+    """C(q, q1), the number of placebo assignments. Raises TooManyAssignments
+    when the test would evaluate more than ENUMERATION_CAP of them: all
+    C(q, q1), or ``max_assignments`` draws when that is fewer."""
+    total = math.comb(q, q1)
+    drawn = max_assignments is not None and max_assignments < total
+    if (max_assignments if drawn else total) > ENUMERATION_CAP:
+        what = f"{max_assignments} drawn" if drawn else f"all C({q}, {q1}) = {total}"
+        raise TooManyAssignments(
+            f"{what} placebo assignments exceed the cap of {ENUMERATION_CAP}"
+        )
+    return total
+
+
 def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
     """The placebo statistic over every evaluated assignment, identity first.
 
     All C(q, q1) assignments in lexicographic order, from prefix plus suffix
     sums without a mask row; or, when ``cfg.max_assignments`` is below that
-    count, the identity plus that many seeded draws. Raises
-    TooManyAssignments before any work when full enumeration would exceed
-    ENUMERATION_CAP. With adjustment, a split of zero two-sample variance
-    away from the identity gives a signed infinity, or 0.0 when its
-    comparison of means is 0 too, so quantiles and p-values stay defined.
+    count, the identity plus that many seeded draws. ``checked_count``
+    raises before any work when either exceeds ENUMERATION_CAP. With
+    adjustment, a split of zero two-sample variance away from the identity
+    gives a signed infinity, or 0.0 when its comparison of means is 0 too,
+    so quantiles and p-values stay defined.
     """
     layout = x.layout
     adjusted = cfg.adjustment == "adjusted"
@@ -294,17 +308,12 @@ def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
         )
     v = np.asarray(x.values, dtype=float)
     moments = (v, v * v) if adjusted else (v,)
-    total = math.comb(layout.q, layout.q1)
+    total = checked_count(layout.q, layout.q1, cfg.max_assignments)
     if cfg.max_assignments is not None and total > cfg.max_assignments:
         n = cfg.max_assignments + 1
         masks = _subsampled_masks(layout, cfg.max_assignments, cfg.seed)
         blocks = (_mask_sums(mask, moments) for mask in masks)
     else:
-        if total > ENUMERATION_CAP:
-            raise TooManyAssignments(
-                f"C({layout.q}, {layout.q1}) = {total} exceeds the cap of "
-                f"{ENUMERATION_CAP}; use subsampling (max_assignments) instead"
-            )
         n = total
         blocks = _fused(_enumerated_sums(moments, layout.q1))
     return _statistics(moments, blocks, n, layout.q1)

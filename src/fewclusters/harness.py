@@ -12,17 +12,16 @@ import csv
 import dataclasses
 import functools
 import math
+import os
 from collections import Counter
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
+from . import engine
 from .dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
-from .methods import TABLE, Inputs, Setting
-from .model import FewClustersError
+from .methods import TABLE, Inputs, Setting, stream
+from .model import FewClustersError, TooManyAssignments
 
 
 SWEEP_PARAMS = ("beta", "h", "q")
@@ -79,6 +78,12 @@ class ExperimentSpec:
             setting = _setting(_apply_sweep(self.design, self.sweep_param, value))
             for method in self.methods:
                 TABLE[method].check(setting)
+            if {"placebo", "placebo_unadjusted"} & set(self.methods):
+                try:
+                    engine.checked_count(setting.q1 + setting.q0, setting.q1)
+                except TooManyAssignments as exc:
+                    at = f"sweep.values: at {self.sweep_param} = {value:g}"
+                    raise TooManyAssignments(f"{at}, {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,60 +143,34 @@ def _setting(design: Design) -> Setting:
     )
 
 
-class _ReplicationStreams(Mapping):
-    """The seeds of one replication, each built when first read: stream i
-    of the names below is SeedSequence(master seed, spawn_key=(sweep index,
-    rep, i)), the i-th child that SeedSequence(master seed,
-    spawn_key=(sweep index, rep)) spawns."""
-
-    NAMES = ("data", "pairing", "crs_u", "bootstrap", "oracle")
-
-    def __init__(self, master_seed: int, sweep_index: int, rep: int):
-        self._seed, self._key = master_seed, (sweep_index, rep)
-
-    def __getitem__(self, name: str) -> np.random.SeedSequence:
-        try:
-            i = self.NAMES.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return np.random.SeedSequence(self._seed, spawn_key=(*self._key, i))
-
-    def __iter__(self):
-        return iter(self.NAMES)
-
-    def __len__(self) -> int:
-        return len(self.NAMES)
-
-
-# replications run in groups of this many: each fit of the group's datasets
-# runs as one batch, so the calls are fewer, and then each replication in
-# turn runs every method
+# a task is one group of this many replications: each fit of the group's
+# datasets runs as one batch, so the calls are fewer, and then each
+# replication in turn runs every method
 REPLICATION_GROUP = 16
 
 
-def _run_block(spec: ExperimentSpec, block: tuple[int, int, int]) -> dict[str, int]:
-    """Reject counts per method over one (sweep index, start, stop) block.
+def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> dict[str, int]:
+    """Reject counts per method over one replication group, ``task`` =
+    (sweep index, its first rep).
 
     The counts are those of one replication at a time, since each
     replication draws from its own streams, and the first failure raised
     is the first in replication order.
     """
-    sweep_index, rep_start, rep_stop = block
+    sweep_index, start = task
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
-    setting = _setting(design)
     generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
+    stop = min(start + REPLICATION_GROUP, spec.replications)
+    keys = [(sweep_index, rep) for rep in range(start, stop)]
+    datasets = [generate(design, stream(spec.master_seed, key, "data")) for key in keys]
+    inputs = Inputs(
+        _setting(design), datasets, spec.alpha, spec.master_seed, keys, spec.crs_pairing,
+        bootstrap_reps=spec.bootstrap_reps,
+    )
     counts = {m: 0 for m in spec.methods}
-    for start in range(rep_start, rep_stop, REPLICATION_GROUP):
-        reps = range(start, min(start + REPLICATION_GROUP, rep_stop))
-        streams = [_ReplicationStreams(spec.master_seed, sweep_index, rep) for rep in reps]
-        datasets = [generate(design, s["data"]) for s in streams]
-        inputs = Inputs(
-            setting, datasets, spec.alpha, streams, spec.crs_pairing,
-            bootstrap_reps=spec.bootstrap_reps,
-        )
-        for j in range(len(reps)):
-            for method in spec.methods:
-                counts[method] += int(TABLE[method].run(inputs, j).reject)
+    for j in range(len(keys)):
+        for method in spec.methods:
+            counts[method] += int(TABLE[method].run(inputs, j).reject)
     return counts
 
 
@@ -199,25 +178,25 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RejectionTable:
     """Run the full sweep and tally rejection frequencies per method.
 
     Deterministic given the spec's master seed, independent of the worker
-    count: replication seeds depend only on (sweep index, replication
-    index) and the reduction is an integer sum.
+    count, which is capped at os.cpu_count(): replication seeds depend only
+    on (sweep index, replication index) and the reduction is an integer sum.
     """
     n = spec.replications
-    chunk = math.ceil(n / max(workers, 1))
-    blocks = [
-        (sweep_index, start, min(start + chunk, n))
+    tasks = [
+        (sweep_index, start)
         for sweep_index in range(len(spec.sweep_values))
-        for start in range(0, n, chunk)
+        for start in range(0, n, REPLICATION_GROUP)
     ]
     run = functools.partial(_run_block, spec)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        results = list(map(run, blocks))
+        results = list(map(run, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, blocks))
+            results = list(pool.map(run, tasks))
     counts = [Counter() for _ in spec.sweep_values]
-    for (sweep_index, _, _), block_counts in zip(blocks, results):
-        counts[sweep_index].update(block_counts)
+    for (sweep_index, _), task_counts in zip(tasks, results):
+        counts[sweep_index].update(task_counts)
     param, seed = spec.sweep_param, spec.master_seed
     rows = [
         RejectionRow(method, param, float(value), counts[i][method] / n, n, seed)

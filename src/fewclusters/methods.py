@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from .model import (
     unwrap,
 )
 
-# the random streams a method may draw from, each with its own seed
-STREAMS = ("pairing", "crs_u", "bootstrap", "oracle", "subsample")
+# the random streams of a dataset: its data, then those a method may draw from
+STREAMS = ("data", "pairing", "crs_u", "bootstrap", "oracle", "subsample")
 
 
-def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
-    """The seed of each of the STREAMS: stream i is the i-th child that
-    SeedSequence(seed) spawns."""
-    return dict(zip(STREAMS, np.random.SeedSequence(seed).spawn(len(STREAMS))))
+def stream(entropy: int, key: tuple[int, ...], name: str) -> np.random.SeedSequence:
+    """The seed of one of the STREAMS of the dataset at ``key``: stream i is
+    the i-th child that SeedSequence(entropy, spawn_key=key) spawns."""
+    return np.random.SeedSequence(entropy, spawn_key=(*key, STREAMS.index(name)))
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class Setting:
 @dataclass(frozen=True)
 class Inputs:
     """The datasets of one setting with their seeds: a replication group in
-    the harness, a group of one in the CLI. ``seeds[j]`` maps each of the
-    STREAMS to dataset j's seed; "subsample", read only when
-    ``max_assignments`` is set, may be absent.
+    the harness, a group of one in the CLI. Dataset j draws from the streams
+    of ``keys[j]`` under ``entropy``: (sweep index, rep) in the harness, ()
+    in the CLI.
 
     Each fitted value below is a list over the group, computed for all its
     datasets as one batch when a method first asks. It holds each dataset's
@@ -66,7 +66,8 @@ class Inputs:
     setting: Setting
     datasets: Sequence[ClusterDataset]
     alpha: float
-    seeds: Sequence[Mapping[str, Any]]
+    entropy: int
+    keys: Sequence[tuple[int, ...]]
     pairing: str = "random"
     max_assignments: Optional[int] = None
     bootstrap_reps: int = 199
@@ -75,11 +76,14 @@ class Inputs:
     def estimates(self) -> list[EstimateVector | FewClustersError]:
         return estimators.estimate_many(self.datasets, self.setting.estimator)
 
+    def seed(self, j: int, name: str) -> np.random.SeedSequence:
+        return stream(self.entropy, self.keys[j], name)
+
     @cached_property
     def pair_betas(self) -> list[np.ndarray | FewClustersError]:
         pairs = [
-            comparators.pair_clusters(dataset, self.pairing, seeds["pairing"])
-            for dataset, seeds in zip(self.datasets, self.seeds)
+            comparators.pair_clusters(dataset, self.pairing, self.seed(j, "pairing"))
+            for j, dataset in enumerate(self.datasets)
         ]
         probit = self.setting.estimator == "probit"
         return comparators.pair_betas(self.datasets, pairs, probit)
@@ -137,8 +141,9 @@ class Method:
 
 
 def _placebo(i: Inputs, j: int, adjustment: Optional[str] = None) -> TestResult:
-    s, seed = i.setting, i.seeds[j].get("subsample", 0)
-    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, i.max_assignments, seed)
+    s, m = i.setting, i.max_assignments
+    seed = i.seed(j, "subsample") if m else 0
+    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, seed)
     return engine.run_placebo_test(unwrap(i.estimates[j]), cfg)
 
 
@@ -147,14 +152,14 @@ def _im(i: Inputs, j: int) -> TestResult:
 
 
 def _crs(i: Inputs, j: int, randomized: bool = False) -> TestResult:
-    seed = i.seeds[j]["crs_u"] if randomized else None
+    seed = i.seed(j, "crs_u") if randomized else None
     return comparators.sign_flip_test(unwrap(i.sign_flips[j]), i.alpha, randomized, seed)
 
 
 def _wild_bootstrap(i: Inputs, j: int) -> TestResult:
     return comparators.wild_bootstrap_pooled(
         unwrap(i.regression[j]), i.alpha, i.setting.side, i.bootstrap_reps,
-        i.seeds[j]["bootstrap"],
+        i.seed(j, "bootstrap"),
     )
 
 
@@ -164,7 +169,7 @@ def _bch_t(i: Inputs, j: int) -> TestResult:
 
 def _oracle(i: Inputs, j: int) -> TestResult:
     """Rejects with probability alpha: the p-value is one uniform draw."""
-    u = float(np.random.default_rng(i.seeds[j]["oracle"]).uniform())
+    u = float(np.random.default_rng(i.seed(j, "oracle")).uniform())
     return TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0)
 
 

@@ -55,7 +55,7 @@ class GroupTooSmall(FewClustersError):
 
 
 class TooManyAssignments(FewClustersError):
-    """Full enumeration would exceed the configured cap; subsample instead."""
+    """The placebo test would evaluate more assignments than its cap."""
 
 
 class RankDeficient(FewClustersError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fewclusters
-from fewclusters import comparators, estimators
+from fewclusters import comparators, engine, estimators
 from fewclusters.cli import (
     EXIT_DATA_ERROR,
     EXIT_INAPPLICABLE,
@@ -20,7 +20,7 @@ from fewclusters.cli import (
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.harness import spec_from_dict
-from fewclusters.methods import STREAMS, TABLE, seed_streams
+from fewclusters.methods import STREAMS, TABLE, stream
 from fewclusters.model import DataError
 
 
@@ -236,8 +236,7 @@ class TestTestCommand:
         # one seed for every stream would draw crs_u's uniform from the
         # state the random pairing's permutation also starts from
         children = np.random.SeedSequence(3).spawn(len(STREAMS))
-        streams = seed_streams(3)
-        states = [streams[name].generate_state(4).tolist() for name in STREAMS]
+        states = [stream(3, (), name).generate_state(4).tolist() for name in STREAMS]
         assert states == [child.generate_state(4).tolist() for child in children]
         assert len({tuple(states[STREAMS.index(name)])
                     for name in ("pairing", "crs_u", "bootstrap")}) == 3
@@ -245,7 +244,8 @@ class TestTestCommand:
     def test_seeded_methods_read_their_spawned_streams(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "d.csv", n_clusters=10, effect=0.5)
         ds = read_csv_dataset(csv_path)
-        pairing, crs_u, bootstrap = np.random.SeedSequence(3).spawn(3)
+        # children 1, 2 and 3: child 0 is the data stream, which the CLI leaves unread
+        _, pairing, crs_u, bootstrap = np.random.SeedSequence(3).spawn(4)
         pairs = comparators.pair_clusters(ds, "random", pairing)
         pair_betas = comparators.pair_beta_ols(ds, pairs)
         expected = {
@@ -271,6 +271,18 @@ class TestTestCommand:
         )
         assert code == EXIT_OK
         assert report["n_assignments"] == 31  # identity plus 30 draws
+
+    def test_subsample_above_the_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the test allocates a statistic per draw before it draws, so a
+        # subsample is held to the enumeration cap
+        monkeypatch.setattr(engine, "ENUMERATION_CAP", 100)
+        csv_path = write_csv(tmp_path / "d.csv", n_clusters=10)  # C(10, 5) = 252
+        argv = ["test", "--input", str(csv_path), "--unadjusted", "--max-perms"]
+        code, report = self.run(capsys, *argv, "100")
+        assert (code, report["n_assignments"]) == (EXIT_OK, 101)
+        assert main([*argv, "101"]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: 101 drawn placebo assignments exceed the cap of 100\n"
 
     def test_other_methods_run(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "d.csv")
@@ -510,6 +522,15 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path)])
         assert code == EXIT_DATA_ERROR
         assert "replications" in capsys.readouterr().err
+
+    def test_enumeration_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # q = 30 is refused when the config is read: no replication runs
+        monkeypatch.setattr(fewclusters.harness, "gen_linear", None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.CONFIG, "sweep": {"param": "q", "values": [6, 30]}}))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA_ERROR
+        assert capsys.readouterr().err.startswith("error: sweep.values: at q = 30, all C(30, 15)")
 
     def test_inapplicable_method_exit_code(self, tmp_path, capsys):
         bad = {

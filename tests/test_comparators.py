@@ -30,7 +30,7 @@ from fewclusters.comparators import (
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.estimators import stacked_design
-from fewclusters.methods import TABLE, Inputs, Setting
+from fewclusters.methods import TABLE, Inputs, Setting, stream
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
@@ -277,8 +277,7 @@ class TestCrsSignTest:
 
     def test_both_methods_share_one_distribution(self, monkeypatch):
         ds = gen_linear(LinearDesign(q1=5, q0=5, h=2), 4)
-        seeds = {"pairing": 1, "crs_u": 2}
-        inputs = Inputs(Setting("ols_intercept", 5, 5), [ds], 0.1, [seeds])
+        inputs = Inputs(Setting("ols_intercept", 5, 5), [ds], 0.1, 6, [(1, 2)])
         calls = []
         monkeypatch.setattr(
             comparators, "sign_flip_statistics",
@@ -288,7 +287,8 @@ class TestCrsSignTest:
         randomized = TABLE["crs_randomized"].run(inputs, 0)
         assert len(calls) == 1
         assert plain == crs_sign_test(inputs.pair_betas[0], 0.1)
-        assert randomized == crs_sign_test(inputs.pair_betas[0], 0.1, True, 2)
+        u = stream(6, (1, 2), "crs_u")
+        assert randomized == crs_sign_test(inputs.pair_betas[0], 0.1, True, u)
 
 
 class TestCrve:

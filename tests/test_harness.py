@@ -18,10 +18,14 @@ from fewclusters.harness import (
     emit_svg,
     run_experiment,
     spec_from_dict,
-    _ReplicationStreams,
 )
-from fewclusters.methods import TABLE, Method
-from fewclusters.model import EstimationError, FewClustersError, MethodInapplicable
+from fewclusters.methods import STREAMS, TABLE, Method, stream
+from fewclusters.model import (
+    EstimationError,
+    FewClustersError,
+    MethodInapplicable,
+    TooManyAssignments,
+)
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -96,37 +100,57 @@ class TestSpecValidation:
             fast_spec(design=design)
         assert fast_spec(design=design, methods=("placebo_unadjusted",))
 
+    @pytest.mark.parametrize("method", ["placebo", "placebo_unadjusted"])
+    def test_enumeration_cap_checked_at_every_sweep_point(self, method):
+        # before any replication, not after every q = 6 replication has run
+        message = r"sweep.values: at q = 30, all C\(30, 15\) = 155117520 placebo"
+        with pytest.raises(TooManyAssignments, match=message):
+            fast_spec(sweep_param="q", sweep_values=(6.0, 30.0), methods=("im", method))
+        assert fast_spec(sweep_param="q", sweep_values=(6.0, 30.0), methods=("im",))
+
 
 class TestSeeding:
     def test_streams_distinct_across_reps(self):
-        a = _ReplicationStreams(0, 0, 0)
-        b = _ReplicationStreams(0, 0, 1)
-        c = _ReplicationStreams(0, 1, 0)
-        keys = {"data", "pairing", "crs_u", "bootstrap", "oracle"}
-        assert set(a) == keys
-        entropy = lambda s: tuple(s["data"].generate_state(4))
+        a, b, c = (stream(0, key, "data") for key in [(0, 0), (0, 1), (1, 0)])
+        assert STREAMS == ("data", "pairing", "crs_u", "bootstrap", "oracle", "subsample")
+        entropy = lambda s: tuple(s.generate_state(4))
         assert len({entropy(a), entropy(b), entropy(c)}) == 3
 
+    # (master seed, key): a replication's key; the CLI's key (), the children
+    # of SeedSequence(seed) itself; master seeds of two and of three 32-bit
+    # words of entropy; replication indices near 10**6
+    KEYS = [
+        (7, (3, 11)),
+        (7, ()),
+        (0, ()),
+        (2**32, (0, 0)),
+        (2**32 + 12345, ()),
+        (2**64 + 2**40 + 3, (2, 5)),
+        (101, (0, 999_999)),
+        (2**33 - 1, (10, 1_000_003)),
+    ]
+
     def test_each_stream_is_the_spawned_child(self):
-        # a stream built on its own draws what the i-th of five spawned
+        # a stream built on its own draws what the i-th of the spawned
         # children draws, and the data stream spawns the same cluster streams
-        root = np.random.SeedSequence(7, spawn_key=(3, 11))
-        children = root.spawn(5)
-        streams = _ReplicationStreams(7, 3, 11)
-        for name, child in zip(["data", "pairing", "crs_u", "bootstrap", "oracle"], children):
-            assert streams[name].generate_state(8).tolist() == child.generate_state(8).tolist()
-        ours, theirs = streams["data"].spawn(3), children[0].spawn(3)
-        assert [s.generate_state(4).tolist() for s in ours] == [
-            s.generate_state(4).tolist() for s in theirs
-        ]
-        assert streams.get("subsample", 0) == 0
+        for seed, key in self.KEYS:
+            children = np.random.SeedSequence(seed, spawn_key=key).spawn(len(STREAMS))
+            for name, child in zip(STREAMS, children):
+                ours = stream(seed, key, name)
+                assert ours.generate_state(8).tolist() == child.generate_state(8).tolist()
+                assert (
+                    np.random.default_rng(ours).standard_normal(3).tolist()
+                    == np.random.default_rng(child).standard_normal(3).tolist()
+                )
+            ours, theirs = stream(seed, key, "data").spawn(3), children[0].spawn(3)
+            assert [s.generate_state(4).tolist() for s in ours] == [
+                s.generate_state(4).tolist() for s in theirs
+            ]
 
     def test_streams_reproducible(self):
-        a = _ReplicationStreams(5, 2, 9)
-        b = _ReplicationStreams(5, 2, 9)
-        assert tuple(a["bootstrap"].generate_state(4)) == tuple(
-            b["bootstrap"].generate_state(4)
-        )
+        a = stream(5, (2, 9), "bootstrap")
+        b = stream(5, (2, 9), "bootstrap")
+        assert tuple(a.generate_state(4)) == tuple(b.generate_state(4))
 
 
 class TestReplicationGroups:
@@ -156,7 +180,7 @@ class TestReplicationGroups:
         spec = fast_spec(methods=("placebo", "im"), replications=8)
         design = harness._apply_sweep(spec.design, "beta", 0.0)
         first = [
-            gen_linear(design, _ReplicationStreams(spec.master_seed, 0, rep)["data"])
+            gen_linear(design, stream(spec.master_seed, (0, rep), "data"))
             .clusters[0].outcomes[0]
             for rep in range(8)
         ]
@@ -193,7 +217,9 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_csv_bytes_equal_across_workers(self, tmp_path, monkeypatch):
-        # one pool serves every sweep value; 7 replications split unevenly
+        # one pool serves every sweep value, a task each; the CPU count is
+        # pinned so that 4 workers are not capped
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         pools = []
 
         class CountedPool(harness.ProcessPoolExecutor):
@@ -213,6 +239,30 @@ class TestRunExperiment:
             texts.append((tmp_path / "t.csv").read_bytes())
         assert texts[1] == texts[0] and texts[2] == texts[0]
         assert pools == [{"max_workers": 2}, {"max_workers": 4}]
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # the pool forks all its workers at the first submit, so a large
+        # --threads must not reach it; this stand-in starts no process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        spec = fast_spec(methods=("placebo", "im"), sweep_values=(0.0, 1.0), replications=40)
+        assert run_experiment(spec, workers=10**6) == run_experiment(spec)
+        assert pools == [3]
 
     def test_estimation_error_same_across_workers(self):
         # a separated probit cluster at beta = 1.5 fails replication 0 or later
