@@ -354,13 +354,13 @@ def wild_bootstrap_pooled(
 
     if side == "greater":
         p = float(np.count_nonzero(t_star >= observed)) / b_reps
-        crit = float(np.quantile(t_star, 1.0 - alpha))
+        crit = quantile(t_star, 1.0 - alpha)
     elif side == "less":
         p = float(np.count_nonzero(t_star <= observed)) / b_reps
-        crit = float(np.quantile(t_star, alpha))
+        crit = quantile(t_star, alpha)
     else:
         p = float(np.count_nonzero(np.abs(t_star) >= abs(observed))) / b_reps
-        crit = float(np.quantile(np.abs(t_star), 1.0 - alpha))
+        crit = quantile(np.abs(t_star), 1.0 - alpha)
     return TestResult(
         statistic=observed,
         critical_value=crit,
@@ -369,6 +369,25 @@ def wild_bootstrap_pooled(
         n_assignments=b_reps,
         side=side,
     )
+
+
+def quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a float vector, with numpy's own steps
+    for its default "linear" method and none of its general set-up: one
+    partition at the positions it uses, then its interpolation, which
+    counts from the upper value when the weight is 0.5 or more."""
+    n = values.shape[0]
+    index = (n - 1) * q
+    # past the last position numpy reads the last value twice, at index -1
+    below = -1 if index >= n - 1 else math.floor(index)
+    above = -1 if below == -1 else below + 1
+    ordered = np.partition(values, sorted({0, -1, below, above}))
+    if np.isnan(ordered[-1]):  # a nan sorts last, and is the quantile
+        return float(ordered[-1])
+    low, high, weight = float(ordered[below]), float(ordered[above]), index - below
+    if weight >= 0.5:
+        return high - (high - low) * (1 - weight)
+    return low + (high - low) * weight
 
 
 def pair_beta_ols(

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .methods import spawn_generators
 from .model import ClusterDataset, ClusterLayout, HOutOfRange
 
 
@@ -83,21 +84,26 @@ def _chi2_centered(rng: np.random.Generator, size) -> np.ndarray:
     return z[0] ** 2 + z[1] ** 2 - 2.0
 
 
-def _generate(
-    design: LinearDesign | ProbitDesign, seed, untreated_error_scale: float, binary: bool
+def generate(
+    design: LinearDesign | ProbitDesign, rngs: Sequence[np.random.Generator]
 ) -> ClusterDataset:
-    """A dataset of latent outcomes, or their signs as 0/1 when ``binary``.
+    """The dataset of :func:`gen_linear` or :func:`gen_probit`, by the kind
+    of ``design``, with cluster k drawing from ``rngs[k]``, not from the
+    seed's k-th child: latent outcomes, or their signs as 0/1 for a probit
+    design.
 
-    Cluster k draws its size, its errors and then its covariates from the
-    k-th child stream of the seed, so generation order cannot change the
-    data. All clusters are smoothed by one ``circular_ma`` call over their
-    zero-padded (q, 1 + d, M) draws, each over its own length. The latent
-    outcome takes ``x @ eta`` on each cluster's own (m, d) view of the
-    smoothed draws: on the stacked (n, d) covariates the product can round
-    differently.
+    Cluster k draws its size, its errors and then its covariates, so
+    generation order cannot change the data. All clusters are smoothed by
+    one ``circular_ma`` call over their zero-padded (q, 1 + d, M) draws,
+    each over its own length. The latent outcome takes ``x @ eta`` on each
+    cluster's own (m, d) view of the smoothed draws: on the stacked (n, d)
+    covariates the product can round differently.
     """
     q = design.q1 + design.q0
-    rngs = _spawned_rngs(seed, q)
+    if len(rngs) != q:
+        raise ValueError(f"{len(rngs)} generators for {q} clusters")
+    binary = isinstance(design, ProbitDesign)
+    untreated_error_scale = 1.0 if binary else float(np.sqrt(2.0))
     lo, hi = design.size_range
     sizes = [int(rng.integers(lo, hi + 1)) for rng in rngs]
     n_cov = len(design.eta)
@@ -122,34 +128,44 @@ def _generate(
     if binary:
         outcomes = (outcomes > 0).astype(float)
     layout = ClusterLayout(q1=design.q1, q0=design.q0)
-    return ClusterDataset(_ids(q), layout, offsets, outcomes, covariates)
+    return ClusterDataset(_ids(q), layout, offsets, *_frozen(outcomes, covariates))
 
 
-def _spawned_rngs(seed, count: int) -> list[np.random.Generator]:
+def _children(seed, count: int) -> list[np.random.Generator]:
+    """Generators of children 0..count-1 of the seed, an int or a
+    SeedSequence, which is only read."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seed.spawn(count)]
+    return spawn_generators(seed, count)
+
+
+def _frozen(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The columns made read-only, so that a dataset takes them uncopied."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _ids(q: int) -> tuple[str, ...]:
     return tuple(f"c{k:02d}" for k in range(q))
 
 
-def gen_linear(design: LinearDesign, seed: int) -> ClusterDataset:
+def gen_linear(design: LinearDesign, seed) -> ClusterDataset:
     """Generate one dataset from the linear cluster-treatment design.
 
     Errors are moving averages of h+1 draws, N(0,1) in treated and N(0,2)
     in untreated clusters, so their sd is 1/sqrt(h+1) and sqrt(2/(h+1)); the
     covariates average N(0,1) (treated) or centered chi-square(2) draws.
-    Each cluster gets an independent child stream of the seed, so generation
-    order cannot change the data.
+    Cluster k draws from child k of the seed, an int or a SeedSequence,
+    so generation order cannot change the data; the seed is only read, so
+    its children are 0..q-1 however many it has spawned.
     """
-    return _generate(design, seed, float(np.sqrt(2.0)), binary=False)
+    return generate(design, _children(seed, design.q1 + design.q0))
 
 
-def gen_probit(design: ProbitDesign, seed: int) -> ClusterDataset:
+def gen_probit(design: ProbitDesign, seed) -> ClusterDataset:
     """Generate binary outcomes: 1 when the latent linear outcome is positive."""
-    return _generate(design, seed, 1.0, binary=True)
+    return generate(design, _children(seed, design.q1 + design.q0))
 
 
 def gen_did_panel(
@@ -158,7 +174,7 @@ def gen_did_panel(
     periods: int,
     t0: int,
     beta: float,
-    seed: int,
+    seed,
     theta0: float = 0.0,
     fe_scale: float = 1.0,
     noise_scale: float = 1.0,
@@ -170,7 +186,7 @@ def gen_did_panel(
     post = 1 for t > t0 (1-based periods).
     """
     q = q1 + q0
-    rngs = _spawned_rngs(seed, q)
+    rngs = _children(seed, q)
     post = np.tile((np.arange(1, periods + 1) > t0).astype(float), q)
     outcomes = np.empty(q * periods)
     for k, rng in enumerate(rngs):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import engine
-from .dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
-from .methods import TABLE, Inputs, Setting, stream
+from .dgp import LinearDesign, ProbitDesign, generate
+from .methods import TABLE, Inputs, Setting, group_streams
 from .model import FewClustersError, TooManyAssignments
 
 
@@ -159,13 +159,13 @@ def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> dict[str, int]:
     """
     sweep_index, start = task
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
-    generate = gen_linear if isinstance(design, LinearDesign) else gen_probit
     stop = min(start + REPLICATION_GROUP, spec.replications)
     keys = [(sweep_index, rep) for rep in range(start, stop)]
-    datasets = [generate(design, stream(spec.master_seed, key, "data")) for key in keys]
+    cluster_rngs, streams = group_streams(spec.master_seed, keys, design.q1 + design.q0)
+    datasets = [generate(design, rngs) for rngs in cluster_rngs]
     inputs = Inputs(
         _setting(design), datasets, spec.alpha, spec.master_seed, keys, spec.crs_pairing,
-        bootstrap_reps=spec.bootstrap_reps,
+        bootstrap_reps=spec.bootstrap_reps, streams=streams,
     )
     counts = {m: 0 for m in spec.methods}
     for j in range(len(keys)):

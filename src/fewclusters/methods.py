@@ -11,6 +11,7 @@ entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -39,6 +40,126 @@ def stream(entropy: int, key: tuple[int, ...], name: str) -> np.random.SeedSeque
     return np.random.SeedSequence(entropy, spawn_key=(*key, STREAMS.index(name)))
 
 
+def group_streams(
+    entropy: int, keys: Sequence[tuple[int, ...]], clusters: int
+) -> tuple[list[list[np.random.Generator]], np.ndarray]:
+    """The streams of the datasets at ``keys``, derived in one pass.
+
+    Returns, for each key, ``default_rng`` of children 0..clusters-1 of its
+    data stream, and the seed words, shape (len(keys), len(STREAMS) - 1, 4),
+    of its other streams, which :func:`generator` turns into theirs. Each
+    is bit for bit what ``stream`` and ``SeedSequence.spawn`` give.
+    """
+    parents = [np.random.SeedSequence(entropy, spawn_key=key) for key in keys]
+    pools, constants = _pools(parents)
+    indices = np.arange(len(STREAMS), dtype=np.uint32)
+    streams = _absorb(pools[:, None], indices, constants[:, None, :5])
+    cluster_indices = np.arange(clusters, dtype=np.uint32)
+    data = _absorb(streams[:, :1], cluster_indices, constants[:, None, 4:])
+    words = _seed_words(np.concatenate([data, streams[:, 1:]], axis=1))
+    return [list(map(generator, w[:clusters])) for w in words], words[:, clusters:]
+
+
+def spawn_generators(seed: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
+    """``default_rng`` of children 0..count-1 of ``seed``, however many it
+    has spawned: the seed is only read, and its spawn counter does not move."""
+    pools, constants = _pools([seed])
+    children = _absorb(pools[:, None], np.arange(count, dtype=np.uint32), constants[:, :5])
+    return list(map(generator, _seed_words(children)[0]))
+
+
+def generator(words: np.ndarray) -> np.random.Generator:
+    """The generator that ``default_rng`` makes of a SeedSequence whose
+    generate_state(4, np.uint64) gives ``words``."""
+    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A SeedSequence for PCG64 that hands it four seed words, already
+    generated. It is made on first use: importing numpy.random takes about
+    9 ms, which a ``test`` that draws nothing does not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+# The hash of numpy's SeedSequence (NEP 19, numpy/random/bit_generator.pyx),
+# run on arrays: a child's entropy is its parent's with its spawn index
+# appended, so the child's pool is the parent's pool with that one word
+# absorbed. TestSeeding checks every derived stream against numpy's own.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2**32 for t = start, ..., start + count - 1."""
+    steps = range(start, start + count)
+    return np.array([init * pow(mult, t, 2**32) % 2**32 for t in steps], np.uint32)
+
+
+_STATE_CONSTANTS = _powers(_INIT_B, _MULT_B, 0, 9)
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(step: int) -> np.ndarray:
+    """The hash constants from ``step`` on: those of two absorbed words."""
+    constants = _powers(_INIT_A, _MULT_A, step, 9)
+    constants.flags.writeable = False
+    return constants
+
+
+def _word_count(value) -> int:
+    """How many 32-bit words SeedSequence makes of an int or of a sequence of them."""
+    if isinstance(value, (int, np.integer)):
+        return (int(value).bit_length() + 31) // 32 or 1
+    return sum(map(_word_count, value))
+
+
+def _pools(parents: Sequence[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The parents' pools, (len(parents), 4), and for each the constants of
+    the next two words it absorbs.
+
+    A parent's pool has mixed in its L >= 4 entropy words, each word past the
+    fourth taking four steps of the constants after the first sixteen.
+    """
+    for parent in parents:
+        if parent.pool_size != 4:
+            raise ValueError(
+                f"a stream needs a SeedSequence of pool size 4, got {parent.pool_size}"
+            )
+    lengths = [max(4, _word_count(p.entropy)) + _word_count(p.spawn_key) for p in parents]
+    steps = [16 + 4 * (length - 4) for length in lengths]
+    return np.array([p.pool for p in parents]), np.array(list(map(_hash_constants, steps)))
+
+
+def _absorb(pools: np.ndarray, words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """Each pool (the last axis) with one word absorbed, broadcast over the
+    leading axes: ``mix`` of pool word i with ``hashmix`` of the word at
+    step i of ``constants``."""
+    hashed = (words[..., None] ^ constants[..., :4]) * constants[..., 1:5]
+    hashed ^= hashed >> 16
+    mixed = _MIX_MULT_L * pools - _MIX_MULT_R * hashed
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _seed_words(pools: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of each pool (the last axis)."""
+    state = pools[..., [0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_CONSTANTS[:8]
+    state *= _STATE_CONSTANTS[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
 @dataclass(frozen=True)
 class Setting:
     """What decides whether a method applies."""
@@ -55,7 +176,10 @@ class Inputs:
     """The datasets of one setting with their seeds: a replication group in
     the harness, a group of one in the CLI. Dataset j draws from the streams
     of ``keys[j]`` under ``entropy``: (sweep index, rep) in the harness, ()
-    in the CLI.
+    in the CLI. ``streams`` holds the seed words that :func:`group_streams`
+    gives for them, when the caller derived them with the data; else they
+    are derived when a method first reads a stream. A method's generator is
+    built when it reads it.
 
     Each fitted value below is a list over the group, computed for all its
     datasets as one batch when a method first asks. It holds each dataset's
@@ -71,18 +195,25 @@ class Inputs:
     pairing: str = "random"
     max_assignments: Optional[int] = None
     bootstrap_reps: int = 199
+    streams: Optional[np.ndarray] = None
 
     @cached_property
     def estimates(self) -> list[EstimateVector | FewClustersError]:
         return estimators.estimate_many(self.datasets, self.setting.estimator)
 
-    def seed(self, j: int, name: str) -> np.random.SeedSequence:
-        return stream(self.entropy, self.keys[j], name)
+    def rng(self, j: int, name: str) -> np.random.Generator:
+        return generator(self._streams[j, STREAMS.index(name) - 1])
+
+    @cached_property
+    def _streams(self) -> np.ndarray:
+        if self.streams is None:
+            return group_streams(self.entropy, self.keys, 0)[1]
+        return self.streams
 
     @cached_property
     def pair_betas(self) -> list[np.ndarray | FewClustersError]:
         pairs = [
-            comparators.pair_clusters(dataset, self.pairing, self.seed(j, "pairing"))
+            comparators.pair_clusters(dataset, self.pairing, self.rng(j, "pairing"))
             for j, dataset in enumerate(self.datasets)
         ]
         probit = self.setting.estimator == "probit"
@@ -142,8 +273,8 @@ class Method:
 
 def _placebo(i: Inputs, j: int, adjustment: Optional[str] = None) -> TestResult:
     s, m = i.setting, i.max_assignments
-    seed = i.seed(j, "subsample") if m else 0
-    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, seed)
+    rng = i.rng(j, "subsample") if m else 0
+    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, rng)
     return engine.run_placebo_test(unwrap(i.estimates[j]), cfg)
 
 
@@ -152,14 +283,14 @@ def _im(i: Inputs, j: int) -> TestResult:
 
 
 def _crs(i: Inputs, j: int, randomized: bool = False) -> TestResult:
-    seed = i.seed(j, "crs_u") if randomized else None
-    return comparators.sign_flip_test(unwrap(i.sign_flips[j]), i.alpha, randomized, seed)
+    rng = i.rng(j, "crs_u") if randomized else None
+    return comparators.sign_flip_test(unwrap(i.sign_flips[j]), i.alpha, randomized, rng)
 
 
 def _wild_bootstrap(i: Inputs, j: int) -> TestResult:
     return comparators.wild_bootstrap_pooled(
         unwrap(i.regression[j]), i.alpha, i.setting.side, i.bootstrap_reps,
-        i.seed(j, "bootstrap"),
+        i.rng(j, "bootstrap"),
     )
 
 
@@ -169,7 +300,7 @@ def _bch_t(i: Inputs, j: int) -> TestResult:
 
 def _oracle(i: Inputs, j: int) -> TestResult:
     """Rejects with probability alpha: the p-value is one uniform draw."""
-    u = float(np.random.default_rng(i.seed(j, "oracle")).uniform())
+    u = float(i.rng(j, "oracle").uniform())
     return TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0)
 
 

@@ -123,7 +123,17 @@ def each(f, *columns) -> list:
 
 
 def _read_only(values, error: type, message: str) -> np.ndarray:
-    """A C-ordered float64 copy of ``values`` that cannot be written to."""
+    """A C-ordered float64 copy of ``values`` that cannot be written to, or
+    ``values`` itself when it is already such an array and owns its memory,
+    so nothing else can write to it."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.c_contiguous
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     try:
         array = np.array(values, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
@@ -341,7 +351,7 @@ class TestConfig:
     side: Side = "greater"
     adjustment: str = "adjusted"
     max_assignments: Optional[int] = None
-    seed: int = 0
+    seed: int | np.random.Generator = 0  # of the subsample, for np.random.default_rng
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line with the measured quantities, so a
 plain ``pytest -s tests/test_acceptance.py`` doubles as a report.
 """
 
+import os
 import time
 
 import numpy as np
@@ -208,7 +209,11 @@ def test_09_circular_ma_autocovariance():
             f"{elapsed:.1f}s (budget 60s)")
 
 
-def test_10_thread_count_determinism():
+def test_10_thread_count_determinism(monkeypatch):
+    # run_experiment caps its workers at the CPU count: pinned, so that all
+    # eight run on any machine
+    workers = 8
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
     spec = ExperimentSpec(
         design=LinearDesign(q1=3, q0=3, h=5),
         sweep_param="beta",
@@ -220,8 +225,8 @@ def test_10_thread_count_determinism():
         master_seed=55,
     )
     serial = run_experiment(spec, workers=1)
-    threaded = run_experiment(spec, workers=8)
+    threaded = run_experiment(spec, workers=workers)
     ok = serial == threaded
     _report(10, "worker-count determinism", ok,
-            f"1-worker and 8-worker tables {'identical' if ok else 'differ'} "
+            f"1-worker and {workers}-worker tables {'identical' if ok else 'differ'} "
             f"({len(serial.rows)} rows compared bitwise)")

@@ -525,7 +525,7 @@ class TestSimulateCommand:
 
     def test_enumeration_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         # q = 30 is refused when the config is read: no replication runs
-        monkeypatch.setattr(fewclusters.harness, "gen_linear", None)
+        monkeypatch.setattr(fewclusters.harness, "generate", None)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**self.CONFIG, "sweep": {"param": "q", "values": [6, 30]}}))
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])

@@ -21,6 +21,7 @@ from fewclusters.comparators import (
     pair_clusters,
     pooled_ols_crve,
     pooled_regression,
+    quantile,
     webb_weights,
     wild_bootstrap_pooled,
     wild_cluster_bootstrap_test,
@@ -603,6 +604,25 @@ class TestWildBootstrap:
             if res["two_sided"].reject:
                 assert abs(res["two_sided"].statistic) > res["two_sided"].critical_value
         assert rejected == set(sides)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_bit_equal_to_numpy(self, data):
+        # the critical value of each side, on b_reps statistics with ties,
+        # signed zeros, infinities and nans among them: np.quantile's bits
+        b_reps = data.draw(st.sampled_from([1, 2, 199, 999]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t_star = rng.standard_normal(b_reps)
+        if data.draw(st.booleans()):
+            t_star = np.round(t_star, 1)  # ties
+        specials = st.sampled_from([np.inf, -np.inf, 0.0, -0.0, np.nan])
+        for value in data.draw(st.lists(specials, max_size=4)):
+            t_star[rng.integers(b_reps)] = value
+        alpha = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        for values, q in ((t_star, 1.0 - alpha), (t_star, alpha), (np.abs(t_star), 1.0 - alpha)):
+            with np.errstate(invalid="ignore"):
+                expected = np.quantile(values, q)
+            assert np.float64(quantile(values, q)).tobytes() == expected.tobytes()
 
     def test_shared_pooled_regression(self):
         ds = make_dataset(4, 4, seed=9, beta=0.5)

@@ -7,11 +7,11 @@ from fewclusters.dgp import (
     LinearDesign,
     ProbitDesign,
     _chi2_centered,
-    _spawned_rngs,
     circular_ma,
     gen_did_panel,
     gen_linear,
     gen_probit,
+    generate,
 )
 from fewclusters.estimators import estimate_all
 from fewclusters.model import HOutOfRange
@@ -248,7 +248,8 @@ class TestOneSmoothingPerCluster:
         for seed in range(5):
             for generate, design, untreated_scale in designs:
                 ds = generate(design, seed)
-                rngs = _spawned_rngs(seed, design.q1 + design.q0)
+                children = np.random.SeedSequence(seed).spawn(design.q1 + design.q0)
+                rngs = [np.random.default_rng(child) for child in children]
                 for k, cluster in enumerate(ds):
                     latent, x = two_call_cluster(design, k, rngs[k], untreated_scale)
                     y = latent if generate is gen_linear else (latent > 0).astype(float)
@@ -336,6 +337,36 @@ class TestReferenceGenerators:
             assert bits(ds.outcomes) == bits(np.concatenate(y))
             assert bits(ds.post) == bits(np.tile(post, 5))
             assert ds.covariates.shape == (35, 0)
+
+    def test_seed_sequence_is_only_read(self):
+        # a SeedSequence seed gives children 0..q-1 each time, however many
+        # it has spawned, and spawns none
+        design = LinearDesign(q1=3, q0=2, h=4)
+        seed = np.random.SeedSequence(5)
+        first, second = gen_linear(design, seed), gen_linear(design, seed)
+        spent = np.random.SeedSequence(5)
+        spent.spawn(7)
+        panels = [gen_did_panel(2, 3, 6, 2, 0.5, s) for s in (seed, spent, 5)]
+        assert seed.n_children_spawned == 0 and spent.n_children_spawned == 7
+        for ds in (second, gen_linear(design, spent), gen_linear(design, 5)):
+            assert bits(ds.outcomes) == bits(first.outcomes)
+            assert bits(ds.covariates) == bits(first.covariates)
+        assert all(bits(p.outcomes) == bits(panels[0].outcomes) for p in panels)
+        probit = ProbitDesign(q1=2, q0=2, h=3, size_range=(20, 30))
+        assert bits(gen_probit(probit, seed).outcomes) == bits(gen_probit(probit, 5).outcomes)
+
+    def test_pool_size_other_than_four_raises(self):
+        for pool_size in (5, 8):
+            seed = np.random.SeedSequence(5, pool_size=pool_size)
+            with pytest.raises(ValueError, match=f"pool size 4, got {pool_size}"):
+                gen_linear(LinearDesign(), seed)
+
+    def test_generate_takes_one_generator_per_cluster(self):
+        design = LinearDesign(q1=2, q0=2, h=3)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(9).spawn(4)]
+        assert bits(generate(design, rngs).outcomes) == bits(gen_linear(design, 9).outcomes)
+        with pytest.raises(ValueError, match="3 generators for 4 clusters"):
+            generate(design, rngs[:3])
 
     def test_cluster_views_share_the_columns(self):
         for ds in [

@@ -19,7 +19,7 @@ from fewclusters.harness import (
     run_experiment,
     spec_from_dict,
 )
-from fewclusters.methods import STREAMS, TABLE, Method, stream
+from fewclusters.methods import STREAMS, TABLE, Method, generator, group_streams, stream
 from fewclusters.model import (
     EstimationError,
     FewClustersError,
@@ -118,7 +118,8 @@ class TestSeeding:
 
     # (master seed, key): a replication's key; the CLI's key (), the children
     # of SeedSequence(seed) itself; master seeds of two and of three 32-bit
-    # words of entropy; replication indices near 10**6
+    # words of entropy; replication indices near 10**6, and past 2**32,
+    # where an index is two words
     KEYS = [
         (7, (3, 11)),
         (7, ()),
@@ -128,11 +129,16 @@ class TestSeeding:
         (2**64 + 2**40 + 3, (2, 5)),
         (101, (0, 999_999)),
         (2**33 - 1, (10, 1_000_003)),
+        (7, (1, 2**32 - 8)),
+        (2**40 + 1, (2**32 + 1, 2**64 + 3)),
     ]
 
     def test_each_stream_is_the_spawned_child(self):
         # a stream built on its own draws what the i-th of the spawned
-        # children draws, and the data stream spawns the same cluster streams
+        # children draws, and the data stream spawns the same cluster
+        # streams; group_streams derives the streams of ``size`` consecutive
+        # replications in one pass, and each is numpy's own, bit for bit
+        q = 5
         for seed, key in self.KEYS:
             children = np.random.SeedSequence(seed, spawn_key=key).spawn(len(STREAMS))
             for name, child in zip(STREAMS, children):
@@ -146,6 +152,19 @@ class TestSeeding:
             assert [s.generate_state(4).tolist() for s in ours] == [
                 s.generate_state(4).tolist() for s in theirs
             ]
+            for size in (1, 16):
+                keys = [(*key[:-1], key[-1] + r) for r in range(size)] if key else [()] * size
+                cluster_rngs, words = group_streams(seed, keys, q)
+                assert len(cluster_rngs) == words.shape[0] == size
+                for k, rngs, row in zip(keys, cluster_rngs, words):
+                    spawned = stream(seed, k, "data").spawn(q)
+                    expected = [np.random.default_rng(child) for child in spawned]
+                    expected += [np.random.default_rng(stream(seed, k, n)) for n in STREAMS[1:]]
+                    derived = rngs + [generator(w) for w in row]
+                    assert len(derived) == len(expected) == q + len(STREAMS) - 1
+                    for a, b in zip(derived, expected):
+                        assert a.bit_generator.state == b.bit_generator.state
+                        assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist()
 
     def test_streams_reproducible(self):
         a = stream(5, (2, 9), "bootstrap")

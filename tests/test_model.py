@@ -225,6 +225,31 @@ class TestColumnarChecks:
         with pytest.raises(DataError, match="3 cluster ids for 2 clusters"):
             ClusterDataset(("a", "b", "c"), layout, [0, 1, 2, 3], [1.0, 2.0, 3.0])
 
+    def test_only_read_only_arrays_that_own_their_memory_are_kept(self):
+        # such a column is taken as it is; a writable one, or a read-only
+        # view of writable memory, is copied, and the caller's array is left
+        # writable
+        layout, offsets = ClusterLayout(1, 1), [0, 2, 4]
+        frozen = np.array([1.0, 2.0, 3.0, 4.0])
+        frozen.flags.writeable = False
+        writable = np.array([1.0, 2.0, 3.0, 4.0])
+        view = writable.view()
+        view.flags.writeable = False
+        assert ClusterDataset(("a", "b"), layout, offsets, frozen).outcomes is frozen
+        strided = np.arange(8.0)[::2]
+        strided.flags.writeable = False
+        for column in (writable, view, strided, frozen.astype(np.float32)):
+            kept = ClusterDataset(("a", "b"), layout, offsets, column).outcomes
+            assert kept is not column and kept.flags.owndata and not kept.flags.writeable
+        assert writable.flags.writeable
+        writable[0] = 9.0
+        assert ClusterDataset(("a", "b"), layout, offsets, view).outcomes[0] == 9.0
+        # a kept column is still checked
+        bad = np.array([1.0, np.inf, 3.0, 4.0])
+        bad.flags.writeable = False
+        with pytest.raises(DataError, match="cluster 'a': outcomes contain nan or inf"):
+            ClusterDataset(("a", "b"), layout, offsets, bad)
+
     def test_post_flags_checked(self):
         with pytest.raises(DataError, match="cluster 'b': post flags must be 0 or 1"):
             ClusterDataset(("a", "b"), ClusterLayout(1, 1), [0, 1, 2], [1, 2], post=[1, 3])
