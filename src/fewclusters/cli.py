@@ -25,6 +25,7 @@ from .model import (
     FewClustersError,
     MethodInapplicable,
     stack_clusters,
+    unwrap,
 )
 
 EXIT_OK = 0
@@ -127,7 +128,7 @@ def cmd_test(args) -> int:
         inputs = Inputs(
             setting, [dataset], args.alpha, args.seed, [()], args.pairing, args.max_perms
         )
-        result = method.run(inputs, 0)
+        result = unwrap(method.run(inputs)[0])
     except (FewClustersError, OSError) as exc:
         return _error(exc)
     report = {"method": args.method, "estimator": args.estimator}

@@ -88,12 +88,16 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RejectionRow:
+    """One method at one sweep value: ``reject_rate`` is its rejects over the
+    ``reps`` less ``failures`` that gave a result, nan if none did."""
+
     method: str
     sweep_param: str
     sweep_value: float
     reject_rate: float
     reps: int
     seed: int
+    failures: int
 
 
 @dataclass(frozen=True)
@@ -144,18 +148,17 @@ def _setting(design: Design) -> Setting:
 
 
 # a task is one group of this many replications: each fit of the group's
-# datasets runs as one batch, so the calls are fewer, and then each
-# replication in turn runs every method
+# datasets runs as one batch, and so does each method
 REPLICATION_GROUP = 16
 
 
-def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> dict[str, int]:
-    """Reject counts per method over one replication group, ``task`` =
-    (sweep index, its first rep).
+def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> Counter:
+    """The counts (method, "rejects") and (method, "failures") over one
+    replication group, ``task`` = (sweep index, its first rep).
 
-    The counts are those of one replication at a time, since each
-    replication draws from its own streams, and the first failure raised
-    is the first in replication order.
+    Each method runs once over the group. A replication's error, from its
+    fit or its test, counts as a failure. The counts are those of one
+    replication at a time, since each replication draws from its own streams.
     """
     sweep_index, start = task
     design = _apply_sweep(spec.design, spec.sweep_param, spec.sweep_values[sweep_index])
@@ -167,10 +170,13 @@ def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> dict[str, int]:
         _setting(design), datasets, spec.alpha, spec.master_seed, keys, spec.crs_pairing,
         bootstrap_reps=spec.bootstrap_reps, streams=streams,
     )
-    counts = {m: 0 for m in spec.methods}
-    for j in range(len(keys)):
-        for method in spec.methods:
-            counts[method] += int(TABLE[method].run(inputs, j).reject)
+    counts = Counter()
+    for method in spec.methods:
+        for result in TABLE[method].run(inputs):
+            if isinstance(result, FewClustersError):
+                counts[method, "failures"] += 1
+            else:
+                counts[method, "rejects"] += int(result.reject)
     return counts
 
 
@@ -198,32 +204,22 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RejectionTable:
     for (sweep_index, _), task_counts in zip(tasks, results):
         counts[sweep_index].update(task_counts)
     param, seed = spec.sweep_param, spec.master_seed
-    rows = [
-        RejectionRow(method, param, float(value), counts[i][method] / n, n, seed)
-        for i, value in enumerate(spec.sweep_values)
-        for method in spec.methods
-    ]
+    rows = []
+    for i, value in enumerate(spec.sweep_values):
+        for method in spec.methods:
+            rejects, failures = counts[i][method, "rejects"], counts[i][method, "failures"]
+            rate = rejects / (n - failures) if failures < n else math.nan
+            rows.append(RejectionRow(method, param, float(value), rate, n, seed, failures))
     return RejectionTable(rows=tuple(rows))
 
 
 def emit_csv(table: RejectionTable, path) -> None:
-    """Write the rejection table as CSV with a fixed header."""
+    """Write the rejection table as CSV: a header of RejectionRow's field
+    names, then one line per row, each float at full precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "sweep_param", "sweep_value", "reject_rate", "reps", "seed"]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.sweep_param,
-                    repr(row.sweep_value),
-                    repr(row.reject_rate),
-                    row.reps,
-                    row.seed,
-                ]
-            )
+        writer.writerow(field.name for field in dataclasses.fields(RejectionRow))
+        writer.writerows(dataclasses.astuple(row) for row in table.rows)
 
 
 _SVG_COLORS = (
@@ -241,12 +237,14 @@ _SVG_COLORS = (
 def emit_svg(table: RejectionTable, path, alpha: Optional[float] = 0.05) -> None:
     """Render a self-contained line chart: one polyline per method.
 
-    A dashed horizontal marks the nominal level when ``alpha`` is given.
+    A dashed horizontal marks the nominal level when ``alpha`` is given. A
+    point whose every replication failed (rate nan) is left out.
     """
     width, height, margin = 640, 420, 50
     methods = sorted({row.method for row in table.rows})
     values = sorted({row.sweep_value for row in table.rows})
-    rates = [row.reject_rate for row in table.rows]
+    shown = [row for row in table.rows if not math.isnan(row.reject_rate)]
+    rates = [row.reject_rate for row in shown]
     sweep_param = table.rows[0].sweep_param if table.rows else ""
 
     x_lo = min(values, default=0.0)
@@ -280,9 +278,7 @@ def emit_svg(table: RejectionTable, path, alpha: Optional[float] = 0.05) -> None
         )
     for i, method in enumerate(methods):
         pts = sorted(
-            (row.sweep_value, row.reject_rate)
-            for row in table.rows
-            if row.method == method
+            (row.sweep_value, row.reject_rate) for row in shown if row.method == method
         )
         coords = " ".join(f"{sx(v):.2f},{sy(r):.2f}" for v, r in pts)
         color = _SVG_COLORS[i % len(_SVG_COLORS)]

@@ -1,12 +1,11 @@
 """The table of inference methods that ``test`` and ``simulate`` both run.
 
 Each entry holds a name, checks that say where the method does not apply,
-and a ``run`` function that gives dataset j's result from one shared
-:class:`Inputs`, the datasets of one setting. Their fits run once per
-group, and a dataset whose fit failed holds the error, which its methods
-raise. Checks read only a :class:`Setting`, so the harness checks every
-sweep point before any data exist. Adding a comparator means adding one
-entry.
+and a ``run`` function that gives, in group order, each dataset's result or
+error from one shared :class:`Inputs`, the datasets of one setting, whose
+fits run once per group. Checks read only a :class:`Setting`, so the
+harness checks every sweep point before any data exist. Adding a comparator
+means adding one entry.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .model import (
     TestConfig,
     TestResult,
     each,
-    unwrap,
 )
 
 # the random streams of a dataset: its data, then those a method may draw from
@@ -178,13 +176,13 @@ class Inputs:
     of ``keys[j]`` under ``entropy``: (sweep index, rep) in the harness, ()
     in the CLI. ``streams`` holds the seed words that :func:`group_streams`
     gives for them, when the caller derived them with the data; else they
-    are derived when a method first reads a stream. A method's generator is
-    built when it reads it.
+    are derived when a method first asks for a stream, and a method that
+    asks for none derives none.
 
     Each fitted value below is a list over the group, computed for all its
     datasets as one batch when a method first asks. It holds each dataset's
-    value, with the bits it has alone, or the error its fit met, which a
-    method raises when it reads it.
+    value, with the bits it has alone, or the error its fit met, which
+    becomes that dataset's result in every method that reads it.
     """
 
     setting: Setting
@@ -201,8 +199,9 @@ class Inputs:
     def estimates(self) -> list[EstimateVector | FewClustersError]:
         return estimators.estimate_many(self.datasets, self.setting.estimator)
 
-    def rng(self, j: int, name: str) -> np.random.Generator:
-        return generator(self._streams[j, STREAMS.index(name) - 1])
+    def rngs(self, name: str) -> list[np.random.Generator]:
+        """Each dataset's generator of the stream ``name``, built on this call."""
+        return [generator(w) for w in self._streams[:, STREAMS.index(name) - 1]]
 
     @cached_property
     def _streams(self) -> np.ndarray:
@@ -213,8 +212,8 @@ class Inputs:
     @cached_property
     def pair_betas(self) -> list[np.ndarray | FewClustersError]:
         pairs = [
-            comparators.pair_clusters(dataset, self.pairing, self.rng(j, "pairing"))
-            for j, dataset in enumerate(self.datasets)
+            comparators.pair_clusters(dataset, self.pairing, rng)
+            for dataset, rng in zip(self.datasets, self.rngs("pairing"))
         ]
         probit = self.setting.estimator == "probit"
         return comparators.pair_betas(self.datasets, pairs, probit)
@@ -257,7 +256,7 @@ def _adjusted_two_per_group(s: Setting) -> Optional[str]:
 @dataclass(frozen=True)
 class Method:
     name: str
-    run: Callable[[Inputs, int], TestResult]  # (inputs, j): dataset j's result
+    run: Callable[[Inputs], list[TestResult | FewClustersError]]
     checks: tuple[Check, ...] = ()
 
     def check(self, s: Setting) -> None:
@@ -271,37 +270,41 @@ class Method:
                 )
 
 
-def _placebo(i: Inputs, j: int, adjustment: Optional[str] = None) -> TestResult:
+def _placebo(i: Inputs, adjustment: Optional[str] = None) -> list:
     s, m = i.setting, i.max_assignments
-    rng = i.rng(j, "subsample") if m else 0
-    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, rng)
-    return engine.run_placebo_test(unwrap(i.estimates[j]), cfg)
+    rngs = i.rngs("subsample") if m else [0] * len(i.datasets)
+    configs = [TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, rng) for rng in rngs]
+    return each(engine.run_placebo_test, i.estimates, configs)
 
 
-def _im(i: Inputs, j: int) -> TestResult:
-    return comparators.im_t_test(unwrap(i.estimates[j]), i.alpha, i.setting.side)
+def _im(i: Inputs) -> list:
+    return each(lambda e: comparators.im_t_test(e, i.alpha, i.setting.side), i.estimates)
 
 
-def _crs(i: Inputs, j: int, randomized: bool = False) -> TestResult:
-    rng = i.rng(j, "crs_u") if randomized else None
-    return comparators.sign_flip_test(unwrap(i.sign_flips[j]), i.alpha, randomized, rng)
-
-
-def _wild_bootstrap(i: Inputs, j: int) -> TestResult:
-    return comparators.wild_bootstrap_pooled(
-        unwrap(i.regression[j]), i.alpha, i.setting.side, i.bootstrap_reps,
-        i.rng(j, "bootstrap"),
+def _crs(i: Inputs, randomized: bool = False) -> list:
+    rngs = i.rngs("crs_u") if randomized else [None] * len(i.datasets)
+    return each(
+        lambda stats, rng: comparators.sign_flip_test(stats, i.alpha, randomized, rng),
+        i.sign_flips, rngs,
     )
 
 
-def _bch_t(i: Inputs, j: int) -> TestResult:
-    return comparators.bch_t_test(unwrap(i.regression[j]).fit, i.alpha, i.setting.side)
+def _wild_bootstrap(i: Inputs) -> list:
+    side, reps = i.setting.side, i.bootstrap_reps
+    return each(
+        lambda r, rng: comparators.wild_bootstrap_pooled(r, i.alpha, side, reps, rng),
+        i.regression, i.rngs("bootstrap"),
+    )
 
 
-def _oracle(i: Inputs, j: int) -> TestResult:
-    """Rejects with probability alpha: the p-value is one uniform draw."""
-    u = float(i.rng(j, "oracle").uniform())
-    return TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0)
+def _bch_t(i: Inputs) -> list:
+    return each(lambda r: comparators.bch_t_test(r.fit, i.alpha, i.setting.side), i.regression)
+
+
+def _oracle(i: Inputs) -> list:
+    """Rejects with probability alpha: each p-value is one uniform draw."""
+    p_values = [float(rng.uniform()) for rng in i.rngs("oracle")]
+    return [TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0) for u in p_values]
 
 
 _PAIRED = (_estimator("ols_intercept", "probit"), _greater_only, _matched_pairs)
@@ -311,10 +314,10 @@ TABLE: dict[str, Method] = {
     m.name: m
     for m in (
         Method("placebo", _placebo, (_adjusted_two_per_group,)),
-        Method("placebo_unadjusted", lambda i, j: _placebo(i, j, "unadjusted")),
+        Method("placebo_unadjusted", lambda i: _placebo(i, "unadjusted")),
         Method("im", _im, (_two_per_group,)),
         Method("crs", _crs, _PAIRED),
-        Method("crs_randomized", lambda i, j: _crs(i, j, randomized=True), _PAIRED),
+        Method("crs_randomized", lambda i: _crs(i, randomized=True), _PAIRED),
         Method("wild_bootstrap", _wild_bootstrap, _OLS),
         Method("bch_t", _bch_t, _OLS),
         Method("oracle", _oracle, (_greater_only,)),

@@ -12,7 +12,7 @@ import numpy as np
 from fewclusters.dgp import LinearDesign, ProbitDesign, circular_ma
 from fewclusters.engine import placebo_distribution, run_placebo_test
 from fewclusters.estimators import probit_moment, probit_moment_jacobian
-from fewclusters.harness import ExperimentSpec, run_experiment
+from fewclusters.harness import ExperimentSpec, emit_csv, run_experiment
 from fewclusters.model import ClusterLayout, EstimateVector, TestConfig
 
 ALPHA = 0.05
@@ -209,24 +209,31 @@ def test_09_circular_ma_autocovariance():
             f"{elapsed:.1f}s (budget 60s)")
 
 
-def test_10_thread_count_determinism(monkeypatch):
+def test_10_thread_count_determinism(monkeypatch, tmp_path):
     # run_experiment caps its workers at the CPU count: pinned, so that all
     # eight run on any machine
     workers = 8
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    methods = ("placebo", "im", "crs", "crs_randomized", "wild_bootstrap", "bch_t")
     spec = ExperimentSpec(
         design=LinearDesign(q1=3, q0=3, h=5),
         sweep_param="beta",
         sweep_values=(0.0, 1.0),
-        methods=("placebo", "im", "crs", "crs_randomized", "wild_bootstrap",
-                 "bch_t", "oracle"),
+        methods=(*methods, "oracle"),
         replications=100,
         alpha=ALPHA,
         master_seed=55,
     )
-    serial = run_experiment(spec, workers=1)
-    threaded = run_experiment(spec, workers=workers)
-    ok = serial == threaded
+    # figure1f's design at h = 13 and 14: a 15-row cluster smoothed over 15
+    # draws has covariates equal to their mean, so its fit fails
+    failing = linear_spec(6, 6, methods, values=(13, 14), reps=64, seed=106, param="h")
+    texts = []
+    for s in (spec, failing):
+        for n in (1, workers):
+            emit_csv(run_experiment(s, workers=n), tmp_path / f"{n}.csv")
+        texts.append([(tmp_path / f"{n}.csv").read_bytes() for n in (1, workers)])
+    failures = sum(int(line.rsplit(b",", 1)[1]) for line in texts[1][0].splitlines()[1:])
+    ok = all(serial == threaded for serial, threaded in texts) and failures > 0
     _report(10, "worker-count determinism", ok,
-            f"1-worker and {workers}-worker tables {'identical' if ok else 'differ'} "
-            f"({len(serial.rows)} rows compared bitwise)")
+            f"1-worker and {workers}-worker CSVs {'identical' if ok else 'differ'} "
+            f"(two sweeps, the second with {failures} failed method runs, compared bytewise)")

@@ -284,8 +284,8 @@ class TestCrsSignTest:
             comparators, "sign_flip_statistics",
             lambda b: calls.append(1) or sign_flip_statistics(b),
         )
-        plain = TABLE["crs"].run(inputs, 0)
-        randomized = TABLE["crs_randomized"].run(inputs, 0)
+        [plain] = TABLE["crs"].run(inputs)
+        [randomized] = TABLE["crs_randomized"].run(inputs)
         assert len(calls) == 1
         assert plain == crs_sign_test(inputs.pair_betas[0], 0.1)
         u = stream(6, (1, 2), "crs_u")

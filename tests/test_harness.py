@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: seeding, determinism, outputs."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewclusters import comparators, harness
-from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear
+from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear, generate
 from fewclusters.harness import (
     ConfigError,
     ExperimentSpec,
@@ -19,7 +20,9 @@ from fewclusters.harness import (
     run_experiment,
     spec_from_dict,
 )
-from fewclusters.methods import STREAMS, TABLE, Method, generator, group_streams, stream
+from fewclusters.methods import (
+    STREAMS, TABLE, Inputs, Method, generator, group_streams, stream,
+)
 from fewclusters.model import (
     EstimationError,
     FewClustersError,
@@ -53,6 +56,19 @@ def fast_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def group_inputs(spec, sweep_index, reps, max_assignments=None):
+    """The Inputs of replications ``reps`` at one sweep point, as the harness builds them."""
+    value = spec.sweep_values[sweep_index]
+    design = harness._apply_sweep(spec.design, spec.sweep_param, value)
+    keys = [(sweep_index, rep) for rep in reps]
+    cluster_rngs, streams = group_streams(spec.master_seed, keys, design.q1 + design.q0)
+    return Inputs(
+        harness._setting(design), [generate(design, rngs) for rngs in cluster_rngs],
+        spec.alpha, spec.master_seed, keys, spec.crs_pairing, max_assignments,
+        spec.bootstrap_reps, streams,
+    )
 
 
 class TestSpecValidation:
@@ -192,29 +208,65 @@ class TestReplicationGroups:
         monkeypatch.setattr(harness, "REPLICATION_GROUP", 1)
         assert run_experiment(spec) == grouped
 
-    def test_first_failure_in_replication_order(self, monkeypatch):
+    def test_failures_counted_per_method_and_replication(self, monkeypatch):
         # in one group, replication 5 fails in the first method and
-        # replication 2 in the second: one replication at a time meets
-        # replication 2's failure first, and so must the group
+        # replication 2 in the second: each counts as a failure of its own
+        # method only, and the rate is over the replications left
         spec = fast_spec(methods=("placebo", "im"), replications=8)
-        design = harness._apply_sweep(spec.design, "beta", 0.0)
-        first = [
-            gen_linear(design, stream(spec.master_seed, (0, rep), "data"))
-            .clusters[0].outcomes[0]
-            for rep in range(8)
-        ]
+        inputs = group_inputs(spec, 0, range(8))
+        rejects = [result.reject for result in TABLE["oracle"].run(inputs)]
+        first = [dataset.clusters[0].outcomes[0] for dataset in inputs.datasets]
 
         def failing_at(rep, name):
-            def run(inputs, j):
-                if inputs.datasets[j].clusters[0].outcomes[0] == first[rep]:
-                    raise FewClustersError(f"{name} failed at replication {rep}")
-                return TABLE["oracle"].run(inputs, j)
+            def run(inputs):
+                results = TABLE["oracle"].run(inputs)
+                for j, dataset in enumerate(inputs.datasets):
+                    if dataset.clusters[0].outcomes[0] == first[rep]:
+                        results[j] = FewClustersError(f"{name} failed at replication {rep}")
+                return results
             return Method(name, run)
 
         monkeypatch.setitem(TABLE, "placebo", failing_at(5, "placebo"))
         monkeypatch.setitem(TABLE, "im", failing_at(2, "im"))
-        with pytest.raises(FewClustersError, match="im failed at replication 2"):
-            run_experiment(spec)
+        placebo, im = run_experiment(spec).rows
+        for row, rep in ((placebo, 5), (im, 2)):
+            assert (row.reps, row.failures) == (8, 1)
+            assert row.reject_rate == (sum(rejects) - rejects[rep]) / 7
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            fast_spec(
+                design=LinearDesign(q1=3, q0=3, h=4, eta=(1.0,), size_range=(5, 12)),
+                methods=tuple(TABLE), sweep_values=(0.5,), replications=16,
+            ),
+            fast_spec(
+                design=ProbitDesign(q1=3, q0=3, h=2, eta=(0.5,), size_range=(20, 30)),
+                methods=("placebo", "placebo_unadjusted", "im", "crs", "crs_randomized", "oracle"),
+                sweep_values=(0.6,), replications=16,
+            ),
+        ],
+        ids=["linear", "probit"],
+    )
+    @pytest.mark.parametrize("max_assignments", [None, 7])
+    def test_group_gives_each_dataset_its_own_result(self, spec, max_assignments):
+        # a group of 16 with failed fits in the middle: each dataset's result
+        # or error is the one it gets in a group of its own, under its key
+        inputs = group_inputs(spec, 0, range(16), max_assignments)
+        failed = [isinstance(e, FewClustersError) for e in inputs.estimates]
+        assert any(failed[1:-1]) and not all(failed)
+        for name in spec.methods:
+            grouped = TABLE[name].run(inputs)
+            for j, key in enumerate(inputs.keys):
+                alone = dataclasses.replace(
+                    inputs, datasets=[inputs.datasets[j]], keys=[key], streams=None
+                )
+                [expected] = TABLE[name].run(alone)
+                if isinstance(expected, FewClustersError):
+                    assert type(grouped[j]) is type(expected), (name, j)
+                    assert str(grouped[j]) == str(expected), (name, j)
+                else:
+                    assert grouped[j] == expected, (name, j)
 
 
 class TestRunExperiment:
@@ -284,18 +336,23 @@ class TestRunExperiment:
         assert pools == [3]
 
     def test_estimation_error_same_across_workers(self):
-        # a separated probit cluster at beta = 1.5 fails replication 0 or later
+        # separated probit clusters at beta = 1.5 fail some replications, the
+        # first of them at cluster c02: each counts as one failure, the same
+        # at 1 and 2 workers, and the rate is over the replications left
         spec = ExperimentSpec(
             ProbitDesign(q1=3, q0=3), "beta", (1.5,), ("placebo",),
             replications=20, master_seed=201,
         )
-        errors = []
-        for workers in (1, 2):
-            with pytest.raises(EstimationError) as info:
-                run_experiment(spec, workers=workers)
-            errors.append((info.value.cluster_id, str(info.value)))
-        assert errors[0] == errors[1]
-        assert errors[0][0] == "c02"
+        tables = [run_experiment(spec, workers=workers) for workers in (1, 2)]
+        assert tables[0] == tables[1]
+        results = TABLE["placebo"].run(group_inputs(spec, 0, range(20)))
+        errors = [r for r in results if isinstance(r, FewClustersError)]
+        assert all(isinstance(e, EstimationError) for e in errors)
+        assert errors[0].cluster_id == "c02"
+        [row] = tables[0].rows
+        assert row.failures == len(errors) < 20
+        rejects = sum(r.reject for r in results if not isinstance(r, FewClustersError))
+        assert row.reject_rate == rejects / (20 - len(errors))
 
     def test_power_increases_with_beta(self):
         spec = fast_spec(
@@ -337,30 +394,32 @@ class TestRunExperiment:
 class TestEmitters:
     TABLE = RejectionTable(
         rows=(
-            RejectionRow("placebo", "beta", 0.0, 0.05, 100, 1),
-            RejectionRow("placebo", "beta", 1.0, 0.75, 100, 1),
-            RejectionRow("im", "beta", 0.0, 0.01, 100, 1),
-            RejectionRow("im", "beta", 1.0, 0.5, 100, 1),
+            RejectionRow("placebo", "beta", 0.0, 0.05, 100, 1, 0),
+            RejectionRow("placebo", "beta", 1.0, 0.75, 100, 1, 0),
+            RejectionRow("im", "beta", 0.0, 0.01, 100, 1, 0),
+            RejectionRow("im", "beta", 1.0, 0.5, 100, 1, 4),
         )
     )
+    HEADER = "method,sweep_param,sweep_value,reject_rate,reps,seed,failures"
 
     def test_csv_shape(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(self.TABLE, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "method,sweep_param,sweep_value,reject_rate,reps,seed"
+        assert lines[0] == self.HEADER
         assert len(lines) == 5
-        assert lines[1] == "placebo,beta,0.0,0.05,100,1"
+        assert lines[1] == "placebo,beta,0.0,0.05,100,1,0"
+        assert lines[4] == "im,beta,1.0,0.5,100,1,4"
 
     def test_csv_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv(RejectionTable(rows=()), path)
         lines = path.read_text().strip().splitlines()
-        assert lines == ["method,sweep_param,sweep_value,reject_rate,reps,seed"]
+        assert lines == [self.HEADER]
 
     def test_csv_full_precision(self, tmp_path):
         table = RejectionTable(
-            rows=(RejectionRow("placebo", "beta", 0.1, 1 / 3, 3, 0),)
+            rows=(RejectionRow("placebo", "beta", 0.1, 1 / 3, 3, 0, 0),)
         )
         path = tmp_path / "prec.csv"
         emit_csv(table, path)
@@ -374,6 +433,17 @@ class TestEmitters:
         assert root.tag.endswith("svg")
         polylines = [e for e in root.iter() if e.tag.endswith("polyline")]
         assert len(polylines) == 2  # one per method
+
+    def test_svg_leaves_out_failed_points(self, tmp_path):
+        # every replication of im at beta = 1 failed: its rate is nan
+        rows = list(self.TABLE.rows)
+        rows[3] = dataclasses.replace(rows[3], reject_rate=float("nan"), failures=100)
+        path = tmp_path / "plot.svg"
+        emit_svg(RejectionTable(rows=tuple(rows)), path, alpha=0.05)
+        root = ET.parse(path).getroot()
+        points = [e.get("points").split() for e in root.iter() if e.tag.endswith("polyline")]
+        assert sorted(map(len, points)) == [1, 2]
+        assert "nan" not in path.read_text()
 
     def test_svg_empty_table(self, tmp_path):
         path = tmp_path / "empty.svg"
