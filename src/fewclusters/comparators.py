@@ -8,13 +8,15 @@ designs come from ``estimators.stacked_design``, which reads a dataset's
 rows through its offsets, and their fits from the estimators' one fit path
 and its rank rule. The sign-change test decides, and warns of zero power,
 by the placebo test's rule: ``engine.one_sided_greater`` and ``zero_power``.
+The t tests and the sign-change test run over a replication group as
+arrays, row by row, so each dataset's result has the bits it has alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ from .model import (
     RankDeficient,
     TestResult,
     UnbalancedGroups,
+    batch,
     each,
     unwrap,
 )
@@ -60,50 +63,66 @@ def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestRes
     """Two-sample t test on per-cluster estimates, df = min(q1, q0) - 1.
 
     The variance sums each group's squared deviations over size * (size - 1).
+    This is :func:`im_t_tests` on a group of one.
     """
-    q1, q0 = x.layout.q1, x.layout.q0
+    return unwrap(im_t_tests([x], alpha, side)[0])
+
+
+def im_t_tests(
+    estimates: Sequence[EstimateVector | FewClustersError], alpha: float, side: str = "greater"
+) -> list[TestResult | FewClustersError]:
+    """:func:`im_t_test` of each vector of a group, one layout for all, with
+    the statistics as one vector; an error in place of a vector stays its
+    result."""
+    return batch(lambda vectors: _im_t_tests(vectors, alpha, side), estimates)
+
+
+def _im_t_tests(vectors: Sequence[EstimateVector], alpha: float, side: str) -> list[TestResult]:
+    q1, q0 = vectors[0].layout.q1, vectors[0].layout.q0
     if q1 < 2 or q0 < 2:
         raise GroupTooSmall(f"two-sample variance needs q1, q0 >= 2, got ({q1}, {q0})")
-    t, u = x.values[:q1], x.values[q1:]
-    # np.sum uses pairwise summation, keeping results stable across run orders
-    mean_t, mean_u = np.sum(t) / q1, np.sum(u) / q0
-    numerator = float(mean_t - mean_u)
-    sst = float(np.sum((t - mean_t) ** 2))
-    ssu = float(np.sum((u - mean_u) ** 2))
-    s = math.sqrt(sst / (q1 * (q1 - 1)) + ssu / (q0 * (q0 - 1)))
-    if s == 0.0:
-        stat = math.copysign(math.inf, numerator) if numerator != 0.0 else 0.0
-    else:
-        stat = numerator / s
-    return _student_t_decision(stat, min(q1, q0) - 1, alpha, side)
+    values = np.stack([x.values for x in vectors])
+    t, u = values[:, :q1], values[:, q1:]
+    # np.sum uses pairwise summation along each row, as on the row alone
+    mean_t, mean_u = np.sum(t, axis=1) / q1, np.sum(u, axis=1) / q0
+    sst = np.sum((t - mean_t[:, None]) ** 2, axis=1)
+    ssu = np.sum((u - mean_u[:, None]) ** 2, axis=1)
+    s = np.sqrt(sst / (q1 * (q1 - 1)) + ssu / (q0 * (q0 - 1)))
+    return _student_t_decisions(_signed_ratio(mean_t - mean_u, s), min(q1, q0) - 1, alpha, side)
 
 
-def _student_t_decision(stat: float, df: int, alpha: float, side: str) -> TestResult:
-    """Critical value, p-value and decision for a statistic referred to t(df)."""
+def _student_t_decisions(
+    stats: np.ndarray, df: int, alpha: float, side: str
+) -> list[TestResult]:
+    """Critical value, p-value and decision for each statistic referred to
+    t(df): one critical value for all."""
     # imported here, so that a run without a t test never loads scipy;
     # stdtr(df, x) is the t(df) cdf and stdtrit(df, q) its inverse
     from scipy import special
 
     if side == "greater":
         crit = float(special.stdtrit(df, 1.0 - alpha))
-        p = float(special.stdtr(df, -stat))
-        reject = stat > crit
+        p = special.stdtr(df, -stats)
+        reject = stats > crit
     elif side == "less":
         crit = float(special.stdtrit(df, alpha))
-        p = float(special.stdtr(df, stat))
-        reject = stat < crit
+        p = special.stdtr(df, stats)
+        reject = stats < crit
     else:
         crit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
-        p = float(2.0 * special.stdtr(df, -abs(stat)))
-        reject = abs(stat) > crit
-    return TestResult(
-        statistic=stat,
-        critical_value=crit,
-        p_value=p,
-        reject=bool(reject),
-        n_assignments=0,
-        side=side,
-    )
+        p = 2.0 * special.stdtr(df, -np.abs(stats))
+        reject = np.abs(stats) > crit
+    return [
+        TestResult(
+            statistic=stat,
+            critical_value=crit,
+            p_value=p_j,
+            reject=reject_j,
+            n_assignments=0,
+            side=side,
+        )
+        for stat, p_j, reject_j in zip(stats.tolist(), p.tolist(), reject.tolist())
+    ]
 
 
 def pair_clusters(
@@ -155,43 +174,61 @@ def crs_sign_test(
     nonrandomized decision uses the ascending-quantile rule; the randomized
     variant draws one uniform against the tie-splitting test function.
     """
-    return sign_flip_test(sign_flip_statistics(beta_hats), alpha, randomized, seed)
+    values = sign_flip_statistics(beta_hats)[None]
+    return sign_flip_tests(values, alpha, randomized, [seed])[0]
 
 
-def sign_flip_statistics(beta_hats: Sequence[float]) -> np.ndarray:
-    """The matched-pair statistic under every sign vector, identity first."""
+@cache
+def _signs(pairs: int) -> np.ndarray:
+    """Every sign vector of ``pairs`` pairs as rows of +-1: all +1 first,
+    the last pair flipping fastest (bit row r set where it keeps a sign)."""
+    signs = np.where(engine.bit_rows(pairs), 1.0, -1.0)
+    signs.flags.writeable = False
+    return signs
+
+
+def sign_flip_statistics(beta_hats) -> np.ndarray:
+    """The matched-pair statistic under every sign vector, identity first,
+    of each row of ``beta_hats`` (..., pairs): shape (..., 2**pairs), each
+    row's arithmetic along its own row."""
     b = np.asarray(beta_hats, dtype=float)
-    if b.shape[0] < 2:
+    if b.shape[-1] < 2:
         raise FewClustersError("sign test needs at least two pair estimates")
-    # bit row r set where sign vector r keeps a sign: all +1 first, the last
-    # pair flipping fastest
-    signs = np.where(engine.bit_rows(b.shape[0]), 1.0, -1.0)
-    flipped = signs * b
-    means = flipped.mean(axis=1)
-    denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
+    flipped = _signs(b.shape[-1]) * b[..., None, :]
+    means = flipped.mean(axis=-1)
+    denom = np.sqrt(np.sum((flipped - means[..., None]) ** 2, axis=-1))
     return _signed_ratio(means, denom)
 
 
-def sign_flip_test(
-    values: np.ndarray, alpha: float, randomized: bool = False, seed: Optional[int] = None
-) -> TestResult:
-    """:func:`crs_sign_test` on the sign-flip distribution ``values``; the
-    randomized test rejects when its test function reaches a uniform draw."""
-    observed = float(values[0])
+def sign_flip_tests(
+    values: np.ndarray, alpha: float, randomized: bool, seeds: Sequence
+) -> list[TestResult]:
+    """:func:`crs_sign_test` on each row of the sign-flip distributions
+    ``values`` (g, 2**pairs), decided row by row; the randomized test
+    rejects when its test function reaches a uniform draw from the row's
+    entry of ``seeds``."""
     c, delta, p, reject = engine.one_sided_greater(values, alpha)
+    observed = values[:, 0]
     if randomized:
-        u = float(np.random.default_rng(seed).uniform())
-        phi = 1.0 if reject else (delta if observed == c else 0.0)
+        u = np.array([np.random.default_rng(seed).uniform() for seed in seeds])
+        phi = np.where(reject, 1.0, np.where(observed == c, delta, 0.0))
         reject = phi >= u
-    return TestResult(
-        statistic=observed,
-        critical_value=c,
-        p_value=p,
-        reject=bool(reject),
-        n_assignments=int(values.shape[0]),
-        randomized_threshold=delta,
-        warnings=() if randomized else engine.zero_power(values.shape[0], alpha),
-    )
+    n = values.shape[1]
+    warnings = () if randomized else engine.zero_power(n, alpha)
+    return [
+        TestResult(
+            statistic=observed_j,
+            critical_value=c_j,
+            p_value=p_j,
+            reject=reject_j,
+            n_assignments=n,
+            randomized_threshold=delta_j,
+            warnings=warnings,
+        )
+        for observed_j, c_j, p_j, reject_j, delta_j in zip(
+            observed.tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
+        )
+    ]
 
 
 def crve_dof_factor(n: int, d: int, q: int) -> float:
@@ -306,7 +343,14 @@ def pooled_ols_crve(dataset: ClusterDataset) -> PooledFit:
 
 def bch_t_test(fit: PooledFit, alpha: float, side: str = "greater") -> TestResult:
     """Compare the pooled CRVE t statistic to a t(q-1) critical value."""
-    return _student_t_decision(fit.t_stat, fit.q - 1, alpha, side)
+    return bch_t_tests([fit], alpha, side)[0]
+
+
+def bch_t_tests(fits: Sequence[PooledFit], alpha: float, side: str = "greater") -> list[TestResult]:
+    """:func:`bch_t_test` of each fit of a group, one q for all, with one
+    critical value."""
+    stats = np.array([fit.t_stat for fit in fits])
+    return _student_t_decisions(stats, fits[0].q - 1, alpha, side)
 
 
 def webb_weights(rng: np.random.Generator, size) -> np.ndarray:

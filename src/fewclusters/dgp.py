@@ -61,7 +61,7 @@ def circular_ma(
     """
     source = np.asarray(source, dtype=float)
     width = source.shape[-1]
-    m = width if sizes is None else min(sizes)
+    m = width if sizes is None else int(np.min(sizes))
     if not 0 <= h <= m - 1:
         raise HOutOfRange(f"h must lie in [0, {m - 1}], got {h}")
     if h == 0:
@@ -69,66 +69,106 @@ def circular_ma(
     # padded[..., j:j + m] is np.roll(source, -j): the same additions in order
     padded = np.concatenate([source, source[..., :h]], axis=-1)
     if sizes is not None:
-        for k, size in enumerate(sizes):
-            padded[k, ..., size : size + h] = source[k, ..., :h]
-    out = source.copy()
+        # row k's first h entries again right after its own sizes[k]
+        rows = np.arange(source.shape[0])[:, None]
+        columns = np.asarray(sizes)[:, None] + np.arange(h)
+        padded[rows, ..., columns] = np.moveaxis(source[..., :h], -1, 1)
+    # each window as one shift of the flat array: entry i of a row gathers
+    # its row's i..i+h, and the last h of each row, which run into the next
+    # row, are left out
+    flat = padded.reshape(-1)
+    out = flat.copy()
     for j in range(1, h + 1):
-        out += padded[..., j : j + width]
+        out[:-h] += flat[j : j + flat.shape[0] - h]
     out /= h + 1
-    return out
+    return out.reshape(padded.shape)[..., :width]
 
 
-def _chi2_centered(rng: np.random.Generator, size) -> np.ndarray:
-    """chi-square(2) minus 2, built from two squared standard normals."""
-    z = rng.standard_normal((2,) + tuple(np.atleast_1d(size)))
-    return z[0] ** 2 + z[1] ** 2 - 2.0
+# The array steps of ``generate`` take at most this many draws at once, or one
+# dataset, so that they run in a core's cache: a linear group of 16 at once,
+# a probit dataset of twelve clusters of up to 500 rows and five covariates
+# alone: a probit group of 16 at once measured slower than one dataset at a
+# time, its arrays out of cache.
+CHUNK_CELLS = 1 << 16
 
 
 def generate(
-    design: LinearDesign | ProbitDesign, rngs: Sequence[np.random.Generator]
-) -> ClusterDataset:
-    """The dataset of :func:`gen_linear` or :func:`gen_probit`, by the kind
-    of ``design``, with cluster k drawing from ``rngs[k]``, not from the
-    seed's k-th child: latent outcomes, or their signs as 0/1 for a probit
-    design.
+    design: LinearDesign | ProbitDesign,
+    cluster_rngs: Sequence[Sequence[np.random.Generator]],
+) -> list[ClusterDataset]:
+    """The datasets of :func:`gen_linear` or :func:`gen_probit`, by the kind
+    of ``design``, one per row of ``cluster_rngs``, with cluster k of
+    dataset j drawing from ``cluster_rngs[j][k]``, not from a seed's k-th
+    child: latent outcomes, or their signs as 0/1 for a probit design.
 
-    Cluster k draws its size, its errors and then its covariates, so
-    generation order cannot change the data. All clusters are smoothed by
-    one ``circular_ma`` call over their zero-padded (q, 1 + d, M) draws,
-    each over its own length. The latent outcome takes ``x @ eta`` on each
-    cluster's own (m, d) view of the smoothed draws: on the stacked (n, d)
-    covariates the product can round differently.
+    Each cluster draws its size, then all its normals in one call: (1 + d, m)
+    if treated, the errors and then the covariates; (1 + 2d, m) if
+    untreated, the errors and then the two halves whose squares make its
+    centered chi-square(2) covariates. So generation order cannot change
+    the data. The untreated scale, the chi-square, ``circular_ma`` and the
+    outcomes then run once over the (g * q, 1 + d, M) draws of the group,
+    zero padded to the largest size M the design allows, or over as many of
+    its datasets as CHUNK_CELLS allows, each
+    cluster over its own length and elementwise, so a dataset has the bits
+    it has alone. The latent outcome takes ``x @ eta`` on each cluster's
+    own (m, d) view of the smoothed draws: on the stacked (n, d) covariates
+    the product can round differently.
     """
+    q, d = design.q1 + design.q0, len(design.eta)
+    step = max(1, CHUNK_CELLS // (q * (1 + 2 * d) * design.size_range[1]))
+    return [
+        dataset
+        for start in range(0, len(cluster_rngs), step)
+        for dataset in _generate(design, cluster_rngs[start : start + step])
+    ]
+
+
+def _generate(
+    design: LinearDesign | ProbitDesign,
+    cluster_rngs: Sequence[Sequence[np.random.Generator]],
+) -> list[ClusterDataset]:
     q = design.q1 + design.q0
-    if len(rngs) != q:
-        raise ValueError(f"{len(rngs)} generators for {q} clusters")
-    binary = isinstance(design, ProbitDesign)
-    untreated_error_scale = 1.0 if binary else float(np.sqrt(2.0))
+    for rngs in cluster_rngs:
+        if len(rngs) != q:
+            raise ValueError(f"{len(rngs)} generators for {q} clusters")
+    rngs = [rng for row in cluster_rngs for rng in row]
+    treated = np.tile(np.arange(q) < design.q1, len(cluster_rngs))
     lo, hi = design.size_range
-    sizes = [int(rng.integers(lo, hi + 1)) for rng in rngs]
-    n_cov = len(design.eta)
-    raw = np.zeros((q, 1 + n_cov, max(sizes)))  # row 0 the errors, then the covariates
-    for k, (rng, m) in enumerate(zip(rngs, sizes)):
-        if k < design.q1:
-            raw[k, 0, :m] = rng.standard_normal(m)
-            raw[k, 1:, :m] = rng.standard_normal((n_cov, m))
-        else:
-            raw[k, 0, :m] = untreated_error_scale * rng.standard_normal(m)
-            raw[k, 1:, :m] = _chi2_centered(rng, (n_cov, m))
-    smooth = circular_ma(raw, design.h, sizes)
+    d = len(design.eta)
+    # per cluster: its errors, then d covariate rows, or 2d halves if untreated
+    draws = np.zeros((len(rngs), 1 + 2 * d, hi))
+    sizes = np.empty(len(rngs), dtype=np.intp)
+    for k, (rng, block, is_treated) in enumerate(zip(rngs, draws, treated.tolist())):
+        sizes[k] = m = rng.integers(lo, hi + 1)
+        rows = 1 + d if is_treated else 1 + 2 * d
+        block[:rows, :m] = rng.standard_normal((rows, m))
+    # the untreated clusters of every dataset, in place: errors scaled, and
+    # covariates (z1 ** 2 + z2 ** 2) - 2 from their halves z1, z2
+    untreated = draws.reshape(len(cluster_rngs), q, 1 + 2 * d, hi)[:, design.q1 :]
+    if not isinstance(design, ProbitDesign):
+        untreated[..., 0, :] *= np.sqrt(2.0)
+    first, second = untreated[..., 1 : 1 + d, :], untreated[..., 1 + d :, :]
+    np.square(first, out=first)
+    first += np.square(second, out=second)
+    first -= 2.0
+    smooth = circular_ma(draws[:, : 1 + d], design.h, sizes)
     eta = np.asarray(design.eta)
-    offsets = np.cumsum([0] + sizes)
-    outcomes, covariates = np.empty(offsets[-1]), np.empty((offsets[-1], n_cov))
-    for k, m in enumerate(sizes):
-        rows = slice(offsets[k], offsets[k + 1])
-        x = smooth[k, 1:, :m].T
-        covariates[rows] = x
-        treated = float(k < design.q1)
-        outcomes[rows] = design.theta0 + design.beta * treated + x @ eta + smooth[k, 0, :m]
-    if binary:
-        outcomes = (outcomes > 0).astype(float)
-    layout = ClusterLayout(q1=design.q1, q0=design.q0)
-    return ClusterDataset(_ids(q), layout, offsets, *_frozen(outcomes, covariates))
+    signal = np.zeros((len(rngs), hi))
+    for x, out, m in zip(np.moveaxis(smooth[:, 1:], 1, 2), signal, sizes.tolist()):
+        np.matmul(x[:m], eta, out=out[:m])
+    shift = design.theta0 + design.beta * treated
+    latent = shift[:, None] + signal + smooth[:, 0]
+    outcomes = (latent > 0).astype(float) if isinstance(design, ProbitDesign) else latent
+    real = np.arange(smooth.shape[-1]) < sizes[:, None]
+    covariates = np.moveaxis(smooth[:, 1:], 1, 2)
+    layout, ids = ClusterLayout(q1=design.q1, q0=design.q0), _ids(q)
+    datasets = []
+    for clusters in range(0, len(rngs), q):
+        rows = slice(clusters, clusters + q)
+        offsets = np.concatenate([[0], np.cumsum(sizes[rows])])
+        columns = outcomes[rows][real[rows]], covariates[rows][real[rows]]
+        datasets.append(ClusterDataset(ids, layout, offsets, *_frozen(*columns)))
+    return datasets
 
 
 def _children(seed, count: int) -> list[np.random.Generator]:
@@ -160,12 +200,12 @@ def gen_linear(design: LinearDesign, seed) -> ClusterDataset:
     so generation order cannot change the data; the seed is only read, so
     its children are 0..q-1 however many it has spawned.
     """
-    return generate(design, _children(seed, design.q1 + design.q0))
+    return generate(design, [_children(seed, design.q1 + design.q0)])[0]
 
 
 def gen_probit(design: ProbitDesign, seed) -> ClusterDataset:
     """Generate binary outcomes: 1 when the latent linear outcome is positive."""
-    return generate(design, _children(seed, design.q1 + design.q0))
+    return generate(design, [_children(seed, design.q1 + design.q0)])[0]
 
 
 def gen_did_panel(

@@ -2,7 +2,10 @@
 
 The statistic of an assignment needs only the sums of the estimates (and of
 their squares) over its treated clusters. Full enumeration builds these from
-a prefix part and a cached suffix table, so it builds no mask row.
+a prefix part and a cached suffix table, so it builds no mask row. The
+estimate vectors of a replication group are tested together: their placebo
+statistics form one (g, n) array, built elementwise, and each row is decided
+by the one row-wise rule, so a vector's result has the bits it has alone.
 
 The evaluated set of assignments always has the identity assignment first,
 so the observed statistic is a member of the placebo distribution. That
@@ -28,6 +31,8 @@ from .model import (
     TestConfig,
     TestResult,
     TooManyAssignments,
+    batch,
+    unwrap,
 )
 
 ENUMERATION_CAP = 10_000_000
@@ -44,6 +49,11 @@ DRAW_ROWS = 1 << 14
 # the elementwise steps run once per 65,536 assignments rather than once per
 # prefix block of at most 924.
 FUSE_ROWS = 1 << 16
+
+# A group's placebo statistics are held at most this many at once: the group
+# is tested in runs of rows of at most this many statistics (at least one
+# row), so its memory does not grow with the group.
+GROUP_CELLS = 1 << 20
 
 # (v,) for the unadjusted statistic and (v, v * v) for the adjusted one, or
 # those summed over the treated clusters of each assignment
@@ -81,18 +91,23 @@ def _suffix_table() -> tuple[np.ndarray, ...]:
     return table
 
 
+@cache
 def _suffix_rows(t: int, k: int) -> np.ndarray:
-    """The rows of t <= TABLE_BITS bits with 0 <= k <= t ones, descending.
+    """The rows of t <= TABLE_BITS bits with 0 <= k <= t ones, descending,
+    as a read-only float matrix.
 
     They are the rows of the table entry whose first TABLE_BITS - t bits are
     zero, which are its last C(t, k) rows.
     """
-    return _suffix_table()[k][-math.comb(t, k) :, TABLE_BITS - t :]
+    rows = _suffix_table()[k][-math.comb(t, k) :, TABLE_BITS - t :].astype(float)
+    rows.flags.writeable = False
+    return rows
 
 
 def _mask_sums(mask: np.ndarray, moments: Moments) -> Moments:
-    """Each moment summed over the treated clusters of every mask row."""
-    fmask = mask.astype(float)
+    """Each moment summed over the treated clusters of every mask row, by
+    one matrix-vector product per moment."""
+    fmask = np.asarray(mask, dtype=float)
     return tuple(fmask @ m for m in moments)
 
 
@@ -138,7 +153,7 @@ def _fused(blocks: Iterable[Moments], rows: int = FUSE_ROWS) -> Iterator[Moments
     pending: list[Moments] = []
     count = 0
     for block in blocks:
-        size = block[0].shape[0]
+        size = block[0].shape[-1]
         if pending and count + size > rows:
             yield _joined(pending)
             pending, count = [], 0
@@ -151,7 +166,12 @@ def _fused(blocks: Iterable[Moments], rows: int = FUSE_ROWS) -> Iterator[Moments
 def _joined(blocks: list[Moments]) -> Moments:
     if len(blocks) == 1:
         return blocks[0]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+
+
+def _stacked(parts: Sequence[Moments]) -> Moments:
+    """One block of every vector's treated sums, each moment stacked (g, b)."""
+    return tuple(np.stack(column) for column in zip(*parts))
 
 
 def _subsampled_masks(
@@ -174,57 +194,48 @@ def _subsampled_masks(
 
 
 def permutation_quantile(stats: Sequence[float], alpha: float) -> float:
-    """The k-th smallest placebo statistic, k = ceil(N * (1 - alpha)).
-
-    k is computed as N - floor(N * alpha), which is the same integer but
-    avoids spurious float round-up at exact multiples.
-    """
-    values = np.sort(np.asarray(stats, dtype=float))
-    n = values.shape[0]
-    if n == 0:
-        raise FewClustersError("cannot take a quantile of an empty statistic set")
-    if not 0.0 < alpha < 1.0:
-        raise FewClustersError(f"alpha must be in (0, 1), got {alpha}")
-    k = n - math.floor(n * alpha)
-    return float(values[k - 1])
+    """The k-th smallest placebo statistic, k = ceil(N * (1 - alpha)): the
+    critical value of :func:`one_sided_greater`."""
+    return float(one_sided_greater(np.asarray(stats, dtype=float), alpha)[0])
 
 
-def p_value(observed: float, stats: Sequence[float]) -> float:
-    """Fraction of placebo statistics >= the observed one (ties count)."""
+def p_value(observed, stats) -> float | np.ndarray:
+    """Fraction of placebo statistics >= the observed one (ties count); of
+    each row of ``stats`` (..., n) against its entry of ``observed`` (...)."""
     values = np.asarray(stats, dtype=float)
-    return float(np.count_nonzero(values >= observed)) / values.shape[0]
+    above = values >= np.asarray(observed, dtype=float)[..., None]
+    return above.sum(axis=-1) / values.shape[-1]
 
 
 def randomized_threshold(
     stats: Sequence[float], alpha: float
 ) -> tuple[float, float]:
-    """Critical value plus the tie-splitting probability of the randomized test."""
-    values = np.asarray(stats, dtype=float)
-    c = permutation_quantile(values, alpha)
-    n = values.shape[0]
-    n_greater = int(np.count_nonzero(values > c))
-    n_equal = int(np.count_nonzero(values == c))
-    delta = (n * alpha - n_greater) / n_equal
-    return c, delta
+    """Critical value plus the tie-splitting probability of the randomized
+    test: those of :func:`one_sided_greater`."""
+    c, delta, _, _ = one_sided_greater(np.asarray(stats, dtype=float), alpha)
+    return float(c), float(delta)
 
 
 def _statistics(
     moments: Moments, blocks: Iterable[Moments], n: int, q1: int
 ) -> np.ndarray:
-    """The placebo statistics of n assignments from blocks of treated sums.
+    """The placebo statistics of n assignments from blocks of treated sums,
+    for each row of the moments.
 
-    Each block holds, for consecutive assignments (identity first), every
-    moment summed over the treated clusters: ``(sum_t,)`` unadjusted,
-    ``(sum_t, sumsq_t)`` adjusted. Every step is elementwise, so a row's
-    statistic does not depend on how the rows are split into blocks.
+    A moment is (..., q), a row per estimate vector. Each block holds, for
+    consecutive assignments (identity first), every moment summed over the
+    treated clusters, (..., b): ``(sum_t,)`` unadjusted, ``(sum_t,
+    sumsq_t)`` adjusted. Every step is elementwise, and the totals are sums
+    along each row, so a row's statistic does not depend on the other rows
+    or on how the assignments are split into blocks.
     """
     v = moments[0]
-    q0 = v.shape[0] - q1
-    total = v.sum()
+    q0 = v.shape[-1] - q1
+    total = v.sum(axis=-1, keepdims=True)
     adjusted = len(moments) == 2
     if adjusted:
-        total_sq = moments[1].sum()
-    stats = np.empty(n)
+        total_sq = moments[1].sum(axis=-1, keepdims=True)
+    stats = np.empty(v.shape[:-1] + (n,))
     s2_identity = None
     start = 0
     # degenerate splits divide by zero; they are mapped below
@@ -232,9 +243,9 @@ def _statistics(
         for sums in blocks:
             sum_t = sums[0]
             sum_u = total - sum_t
-            out = stats[start : start + sum_t.shape[0]]
+            out = stats[..., start : start + sum_t.shape[-1]]
             first = start == 0
-            start += sum_t.shape[0]
+            start += sum_t.shape[-1]
             if not adjusted:
                 np.subtract(sum_t / q1, sum_u / q0, out=out)
                 continue
@@ -246,26 +257,43 @@ def _statistics(
             ss_u = np.maximum(sumsq_u - sum_u**2 / q0, 0.0)
             s2 = ss_t / (q1 * (q1 - 1)) + ss_u / (q0 * (q0 - 1))
             if first:
-                s2_identity = s2[0]
-            out[:] = mean_diff * np.sqrt(s2_identity / s2)
+                s2_identity = s2[..., :1]
+            out[...] = mean_diff * np.sqrt(s2_identity / s2)
             degenerate = s2 == 0.0
             if degenerate.any():
                 out[degenerate] = np.sign(mean_diff[degenerate]) * np.inf
                 out[degenerate & (mean_diff == 0.0)] = 0.0
             if first:
                 # identity ratio is exactly one by construction
-                out[0] = mean_diff[0]
+                out[..., 0] = mean_diff[..., 0]
     return stats
 
 
 def one_sided_greater(
     stats: np.ndarray, alpha: float
-) -> tuple[float, float, float, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Critical value c, tie-splitting probability, p-value and decision
-    observed > c of the test that rejects for large stats[0]; as stats holds
-    the observed statistic, the decision is p <= alpha."""
-    observed = float(stats[0])
-    c, delta = randomized_threshold(stats, alpha)
+    observed > c of the test that rejects for a large observed statistic,
+    for each row of ``stats`` (..., n), whose first entry is the observed
+    one; as a row holds it, the decision is p <= alpha.
+
+    c is the k-th smallest of the row, k = ceil(n * (1 - alpha)), computed
+    as n - floor(n * alpha): the same integer, without a spurious float
+    round-up at exact multiples. Each step is a sort, a count or an
+    elementwise step along the row, so a row decides as it would alone.
+    This is the one decision rule of the placebo and sign-flip tests.
+    """
+    n = stats.shape[-1]
+    if n == 0:
+        raise FewClustersError("cannot take a quantile of an empty statistic set")
+    if not 0.0 < alpha < 1.0:
+        raise FewClustersError(f"alpha must be in (0, 1), got {alpha}")
+    values = np.sort(stats, axis=-1)
+    c = values[..., n - math.floor(n * alpha) - 1]
+    n_greater = (values > c[..., None]).sum(axis=-1)
+    n_equal = (values == c[..., None]).sum(axis=-1)
+    delta = (n * alpha - n_greater) / n_equal
+    observed = stats[..., 0]
     return c, delta, p_value(observed, stats), observed > c
 
 
@@ -288,35 +316,54 @@ def checked_count(q: int, q1: int, max_assignments: Optional[int] = None) -> int
     return total
 
 
-def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
-    """The placebo statistic over every evaluated assignment, identity first.
-
-    All C(q, q1) assignments in lexicographic order, from prefix plus suffix
-    sums without a mask row; or, when ``cfg.max_assignments`` is below that
-    count, the identity plus that many seeded draws. ``checked_count``
-    raises before any work when either exceeds ENUMERATION_CAP. With
-    adjustment, a split of zero two-sample variance away from the identity
-    gives a signed infinity, or 0.0 when its comparison of means is 0 too,
-    so quantiles and p-values stay defined.
-    """
-    layout = x.layout
-    adjusted = cfg.adjustment == "adjusted"
-    if adjusted and (layout.q1 < 2 or layout.q0 < 2):
+def _evaluated(layout: ClusterLayout, cfg: TestConfig) -> tuple[int, bool]:
+    """How many assignments the test evaluates, and whether they are drawn:
+    all C(q, q1), or the identity and ``cfg.max_assignments`` draws when
+    that is fewer. Raises GroupTooSmall when the adjusted statistic lacks a
+    spread, and ``checked_count`` raises when the count exceeds the cap."""
+    if cfg.adjustment == "adjusted" and (layout.q1 < 2 or layout.q0 < 2):
         raise GroupTooSmall(
             "the adjusted placebo statistic needs at least two clusters per "
             f"group, got ({layout.q1}, {layout.q0}); use adjustment='unadjusted'"
         )
-    v = np.asarray(x.values, dtype=float)
-    moments = (v, v * v) if adjusted else (v,)
     total = checked_count(layout.q, layout.q1, cfg.max_assignments)
-    if cfg.max_assignments is not None and total > cfg.max_assignments:
-        n = cfg.max_assignments + 1
-        masks = _subsampled_masks(layout, cfg.max_assignments, cfg.seed)
-        blocks = (_mask_sums(mask, moments) for mask in masks)
+    drawn = cfg.max_assignments is not None and total > cfg.max_assignments
+    return (cfg.max_assignments + 1 if drawn else total), drawn
+
+
+def placebo_distribution(x: EstimateVector, cfg: TestConfig) -> np.ndarray:
+    """The placebo statistic over every evaluated assignment, identity first:
+    :func:`placebo_distributions` of one vector, drawing from ``cfg.seed``."""
+    return placebo_distributions([x], cfg, [cfg.seed])[0]
+
+
+def placebo_distributions(
+    vectors: Sequence[EstimateVector], cfg: TestConfig, seeds: Sequence
+) -> np.ndarray:
+    """The placebo statistic of each vector, one layout for all, over every
+    evaluated assignment, identity first: shape (len(vectors), n).
+
+    All C(q, q1) assignments in lexicographic order, from prefix plus suffix
+    sums without a mask row; or, when ``cfg.max_assignments`` is below that
+    count, the identity plus that many draws, vector j's from ``seeds[j]``.
+    ``checked_count`` raises before any work when either exceeds
+    ENUMERATION_CAP. Each treated sum is one product per vector, and the
+    statistics are elementwise over the rows. With
+    adjustment, a split of zero two-sample variance away from the identity
+    gives a signed infinity, or 0.0 when its comparison of means is 0 too,
+    so quantiles and p-values stay defined.
+    """
+    layout = vectors[0].layout
+    n, drawn = _evaluated(layout, cfg)
+    v = np.array([x.values for x in vectors], dtype=float)
+    moments = (v, v * v) if cfg.adjustment == "adjusted" else (v,)
+    rows = list(zip(*moments))  # each vector's moments
+    if drawn:
+        masks = [_subsampled_masks(layout, cfg.max_assignments, seed) for seed in seeds]
+        parts = ([_mask_sums(mask, m) for mask, m in zip(block, rows)] for block in zip(*masks))
     else:
-        n = total
-        blocks = _fused(_enumerated_sums(moments, layout.q1))
-    return _statistics(moments, blocks, n, layout.q1)
+        parts = zip(*(_enumerated_sums(m, layout.q1) for m in rows))
+    return _statistics(moments, _fused(map(_stacked, parts)), n, layout.q1)
 
 
 def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
@@ -326,27 +373,62 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
     permutation quantile. "less" runs the greater-sided test on the negated
     estimates. "two_sided" runs both one-sided tests at alpha/2 and doubles
     the smaller p-value (capped at 1). The tie-splitting probability of the
-    randomized test is reported but never used for the decision.
+    randomized test is reported but never used for the decision. This is
+    :func:`run_placebo_tests` on a group of one.
     """
-    stats = placebo_distribution(x, cfg)
-    n = stats.shape[0]
-    if cfg.side == "two_sided":
-        alpha = cfg.alpha / 2.0
-        c, delta, p_plus, rej_plus = one_sided_greater(stats, alpha)
-        _, _, p_minus, rej_minus = one_sided_greater(-stats, alpha)
-        p, reject = min(1.0, 2.0 * min(p_plus, p_minus)), rej_plus or rej_minus
-    else:
-        alpha = cfg.alpha
-        signed = stats if cfg.side == "greater" else -stats
-        c, delta, p, reject = one_sided_greater(signed, alpha)
-    return TestResult(
-        statistic=float(stats[0]),
-        critical_value=c,
-        p_value=p,
-        reject=reject,
-        n_assignments=n,
-        side=cfg.side,
-        adjustment=cfg.adjustment,
-        randomized_threshold=delta,
-        warnings=zero_power(n, alpha),
-    )
+    [result] = run_placebo_tests([x], cfg)
+    return unwrap(result)
+
+
+def run_placebo_tests(
+    estimates: Sequence[EstimateVector | FewClustersError],
+    cfg: TestConfig,
+    seeds: Optional[Sequence] = None,
+) -> list[TestResult | FewClustersError]:
+    """:func:`run_placebo_test` of each vector of a group, with ``cfg``, and
+    vector j drawing any subsample from ``seeds[j]`` (default ``cfg.seed``),
+    in order; an error in place of a vector stays its result.
+
+    The vectors' statistics are one array, decided row by row by
+    :func:`one_sided_greater`, in runs of at most GROUP_CELLS statistics.
+    """
+    seeds = [cfg.seed] * len(estimates) if seeds is None else seeds
+    return batch(lambda vectors, seeds: _placebo_tests(vectors, cfg, seeds), estimates, seeds)
+
+
+def _placebo_tests(
+    vectors: Sequence[EstimateVector], cfg: TestConfig, seeds: Sequence
+) -> list[TestResult]:
+    n, _ = _evaluated(vectors[0].layout, cfg)
+    step = max(1, GROUP_CELLS // n)
+    results = []
+    for start in range(0, len(vectors), step):
+        rows = slice(start, start + step)
+        stats = placebo_distributions(vectors[rows], cfg, seeds[rows])
+        if cfg.side == "two_sided":
+            alpha = cfg.alpha / 2.0
+            c, delta, p_plus, rej_plus = one_sided_greater(stats, alpha)
+            _, _, p_minus, rej_minus = one_sided_greater(-stats, alpha)
+            p, reject = np.minimum(1.0, 2.0 * np.minimum(p_plus, p_minus)), rej_plus | rej_minus
+        else:
+            alpha = cfg.alpha
+            signed = stats if cfg.side == "greater" else -stats
+            c, delta, p, reject = one_sided_greater(signed, alpha)
+        warnings = zero_power(n, alpha)
+        results += [
+            TestResult(
+                statistic=observed,
+                critical_value=c_j,
+                p_value=p_j,
+                reject=reject_j,
+                n_assignments=n,
+                side=cfg.side,
+                adjustment=cfg.adjustment,
+                randomized_threshold=delta_j,
+                warnings=warnings,
+            )
+            for observed, c_j, p_j, reject_j, delta_j in zip(
+                stats[:, 0].tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
+            )
+        ]
+    return results

@@ -165,7 +165,7 @@ def _run_block(spec: ExperimentSpec, task: tuple[int, int]) -> Counter:
     stop = min(start + REPLICATION_GROUP, spec.replications)
     keys = [(sweep_index, rep) for rep in range(start, stop)]
     cluster_rngs, streams = group_streams(spec.master_seed, keys, design.q1 + design.q0)
-    datasets = [generate(design, rngs) for rngs in cluster_rngs]
+    datasets = generate(design, cluster_rngs)
     inputs = Inputs(
         _setting(design), datasets, spec.alpha, spec.master_seed, keys, spec.crs_pairing,
         bootstrap_reps=spec.bootstrap_reps, streams=streams,

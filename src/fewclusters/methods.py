@@ -25,6 +25,7 @@ from .model import (
     MethodInapplicable,
     TestConfig,
     TestResult,
+    batch,
     each,
 )
 
@@ -48,8 +49,7 @@ def group_streams(
     of its other streams, which :func:`generator` turns into theirs. Each
     is bit for bit what ``stream`` and ``SeedSequence.spawn`` give.
     """
-    parents = [np.random.SeedSequence(entropy, spawn_key=key) for key in keys]
-    pools, constants = _pools(parents)
+    pools, constants = _key_pools(entropy, keys)
     indices = np.arange(len(STREAMS), dtype=np.uint32)
     streams = _absorb(pools[:, None], indices, constants[:, None, :5])
     cluster_indices = np.arange(clusters, dtype=np.uint32)
@@ -61,9 +61,12 @@ def group_streams(
 def spawn_generators(seed: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
     """``default_rng`` of children 0..count-1 of ``seed``, however many it
     has spawned: the seed is only read, and its spawn counter does not move."""
-    pools, constants = _pools([seed])
-    children = _absorb(pools[:, None], np.arange(count, dtype=np.uint32), constants[:, :5])
-    return list(map(generator, _seed_words(children)[0]))
+    if seed.pool_size != 4:
+        raise ValueError(f"a stream needs a SeedSequence of pool size 4, got {seed.pool_size}")
+    length = max(4, len(_words(seed.entropy))) + len(_words(seed.spawn_key))
+    constants = _hash_constants(16 + 4 * (length - 4))[0]
+    children = _absorb(seed.pool, np.arange(count, dtype=np.uint32), constants[:5])
+    return list(map(generator, _seed_words(children)))
 
 
 def generator(words: np.ndarray) -> np.random.Generator:
@@ -108,35 +111,46 @@ _STATE_CONSTANTS = _powers(_INIT_B, _MULT_B, 0, 9)
 
 
 @functools.lru_cache(maxsize=16)
-def _hash_constants(step: int) -> np.ndarray:
-    """The hash constants from ``step`` on: those of two absorbed words."""
-    constants = _powers(_INIT_A, _MULT_A, step, 9)
+def _hash_constants(step: int, rows: int = 1) -> np.ndarray:
+    """The hash constants of two absorbed words, (rows, 9): row i those from
+    step + 4 * i on, past i more absorbed words."""
+    constants = np.array([_powers(_INIT_A, _MULT_A, step + 4 * i, 9) for i in range(rows)])
     constants.flags.writeable = False
     return constants
 
 
-def _word_count(value) -> int:
-    """How many 32-bit words SeedSequence makes of an int or of a sequence of them."""
-    if isinstance(value, (int, np.integer)):
-        return (int(value).bit_length() + 31) // 32 or 1
-    return sum(map(_word_count, value))
+def _words(value) -> list[int]:
+    """The 32-bit words SeedSequence makes of an int or of a sequence of
+    them, least significant first: at least one of each int."""
+    words = []
+    for item in map(int, [value] if isinstance(value, (int, np.integer)) else value):
+        words.append(item & 0xFFFFFFFF)
+        while item > 0xFFFFFFFF:
+            item >>= 32
+            words.append(item & 0xFFFFFFFF)
+    return words
 
 
-def _pools(parents: Sequence[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """The parents' pools, (len(parents), 4), and for each the constants of
-    the next two words it absorbs.
+def _key_pools(entropy: int, keys: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The pools of SeedSequence(entropy, spawn_key=key), (len(keys), 4),
+    and for each the constants of the next two words it absorbs.
 
-    A parent's pool has mixed in its L >= 4 entropy words, each word past the
-    fourth taking four steps of the constants after the first sixteen.
+    Each starts from the pool of SeedSequence(entropy), which has mixed in
+    its L entropy words padded to four, each word past the fourth taking
+    four steps of the constants after the first sixteen, as with a key;
+    then it absorbs its key's words in turn. A key of fewer words stops
+    sooner, so each row has its own next constants.
     """
-    for parent in parents:
-        if parent.pool_size != 4:
-            raise ValueError(
-                f"a stream needs a SeedSequence of pool size 4, got {parent.pool_size}"
-            )
-    lengths = [max(4, _word_count(p.entropy)) + _word_count(p.spawn_key) for p in parents]
-    steps = [16 + 4 * (length - 4) for length in lengths]
-    return np.array([p.pool for p in parents]), np.array(list(map(_hash_constants, steps)))
+    words = list(map(_words, keys))
+    counts = np.array(list(map(len, words)), dtype=np.intp)
+    width = counts.max(initial=0)
+    table = np.array([w + [0] * (width - len(w)) for w in words], np.uint32)
+    constants = _hash_constants(16 + 4 * (max(4, len(_words(entropy))) - 4), width + 1)
+    pools = np.tile(np.random.SeedSequence(entropy).pool, (len(keys), 1))
+    for i, column in enumerate(table.T):
+        absorbed = _absorb(pools, column, constants[i, :5])
+        pools = np.where((counts > i)[:, None], absorbed, pools)
+    return pools, constants[counts]
 
 
 def _absorb(pools: np.ndarray, words: np.ndarray, constants: np.ndarray) -> np.ndarray:
@@ -220,7 +234,8 @@ class Inputs:
 
     @cached_property
     def sign_flips(self) -> list[np.ndarray | FewClustersError]:
-        return each(comparators.sign_flip_statistics, self.pair_betas)
+        """Each dataset's sign-flip distribution, all of them one array."""
+        return batch(lambda betas: comparators.sign_flip_statistics(np.stack(betas)), self.pair_betas)
 
     @cached_property
     def regression(self) -> list[comparators.PooledRegression | FewClustersError]:
@@ -272,19 +287,18 @@ class Method:
 
 def _placebo(i: Inputs, adjustment: Optional[str] = None) -> list:
     s, m = i.setting, i.max_assignments
-    rngs = i.rngs("subsample") if m else [0] * len(i.datasets)
-    configs = [TestConfig(i.alpha, s.side, adjustment or s.adjustment, m, rng) for rng in rngs]
-    return each(engine.run_placebo_test, i.estimates, configs)
+    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m)
+    return engine.run_placebo_tests(i.estimates, cfg, i.rngs("subsample") if m else None)
 
 
 def _im(i: Inputs) -> list:
-    return each(lambda e: comparators.im_t_test(e, i.alpha, i.setting.side), i.estimates)
+    return comparators.im_t_tests(i.estimates, i.alpha, i.setting.side)
 
 
 def _crs(i: Inputs, randomized: bool = False) -> list:
     rngs = i.rngs("crs_u") if randomized else [None] * len(i.datasets)
-    return each(
-        lambda stats, rng: comparators.sign_flip_test(stats, i.alpha, randomized, rng),
+    return batch(
+        lambda stats, rngs: comparators.sign_flip_tests(np.stack(stats), i.alpha, randomized, rngs),
         i.sign_flips, rngs,
     )
 
@@ -298,7 +312,12 @@ def _wild_bootstrap(i: Inputs) -> list:
 
 
 def _bch_t(i: Inputs) -> list:
-    return each(lambda r: comparators.bch_t_test(r.fit, i.alpha, i.setting.side), i.regression)
+    return batch(
+        lambda regressions: comparators.bch_t_tests(
+            [r.fit for r in regressions], i.alpha, i.setting.side
+        ),
+        i.regression,
+    )
 
 
 def _oracle(i: Inputs) -> list:

@@ -109,6 +109,23 @@ def unwrap(value):
     return value
 
 
+def batch(f, column, *extras) -> list:
+    """f of every dataset's value in ``column`` that is not an error, with
+    its entries of ``extras``, as one call that gives their results in
+    order; an error in ``column`` stays that dataset's result, and an error
+    f raises becomes the result of every dataset it was given."""
+    results = list(column)
+    ok = [j for j, value in enumerate(column) if not isinstance(value, FewClustersError)]
+    if ok:
+        try:
+            values = f([column[j] for j in ok], *([extra[j] for j in ok] for extra in extras))
+        except FewClustersError as exc:
+            values = [exc.with_traceback(None)] * len(ok)
+        for j, value in zip(ok, values):
+            results[j] = value
+    return results
+
+
 def each(f, *columns) -> list:
     """f of each dataset's values, one from each column, or that dataset's
     error: the first error among its values, else the one f raises."""

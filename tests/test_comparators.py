@@ -27,7 +27,7 @@ from fewclusters.comparators import (
     wild_cluster_bootstrap_test,
     sign_flip_statistics,
     _signed_ratio,
-    _student_t_decision,
+    _student_t_decisions,
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.estimators import stacked_design
@@ -149,7 +149,7 @@ class TestImTTest:
             else:
                 stat = numerator / s
             df = min(x.layout.q1, x.layout.q0) - 1
-            expected = _student_t_decision(stat, df, 0.05, side)
+            [expected] = _student_t_decisions(np.array([stat]), df, 0.05, side)
             assert repr(im_t_test(x, 0.05, side)) == repr(expected)
 
     def test_one_cluster_group_too_small(self):
@@ -277,19 +277,23 @@ class TestCrsSignTest:
         assert [getattr(randomized, k) for k in rule] == [getattr(plain, k) for k in rule]
 
     def test_both_methods_share_one_distribution(self, monkeypatch):
-        ds = gen_linear(LinearDesign(q1=5, q0=5, h=2), 4)
-        inputs = Inputs(Setting("ols_intercept", 5, 5), [ds], 0.1, 6, [(1, 2)])
+        # one sign-flip computation serves both methods over the whole group,
+        # and each dataset's results are crs_sign_test's on its own pairs
+        datasets = [gen_linear(LinearDesign(q1=5, q0=5, h=2), seed) for seed in (4, 5, 6)]
+        keys = [(1, 2), (1, 3), (1, 4)]
+        inputs = Inputs(Setting("ols_intercept", 5, 5), datasets, 0.1, 6, keys)
         calls = []
         monkeypatch.setattr(
             comparators, "sign_flip_statistics",
             lambda b: calls.append(1) or sign_flip_statistics(b),
         )
-        [plain] = TABLE["crs"].run(inputs)
-        [randomized] = TABLE["crs_randomized"].run(inputs)
+        plain = TABLE["crs"].run(inputs)
+        randomized = TABLE["crs_randomized"].run(inputs)
         assert len(calls) == 1
-        assert plain == crs_sign_test(inputs.pair_betas[0], 0.1)
-        u = stream(6, (1, 2), "crs_u")
-        assert randomized == crs_sign_test(inputs.pair_betas[0], 0.1, True, u)
+        for j, key in enumerate(keys):
+            assert plain[j] == crs_sign_test(inputs.pair_betas[j], 0.1)
+            u = stream(6, key, "crs_u")
+            assert randomized[j] == crs_sign_test(inputs.pair_betas[j], 0.1, True, u)
 
 
 class TestCrve:

@@ -6,7 +6,6 @@ import pytest
 from fewclusters.dgp import (
     LinearDesign,
     ProbitDesign,
-    _chi2_centered,
     circular_ma,
     gen_did_panel,
     gen_linear,
@@ -229,7 +228,8 @@ def two_call_cluster(design, k, rng, untreated_error_scale):
     if treated:
         raw_x = rng.standard_normal((n_cov, m))
     else:
-        raw_x = _chi2_centered(rng, (n_cov, m))
+        z = rng.standard_normal((2, n_cov, m))
+        raw_x = z[0] ** 2 + z[1] ** 2 - 2.0
     x = circular_ma(raw_x, design.h).T
     latent = design.theta0 + design.beta * float(treated) + x @ np.asarray(design.eta) + u
     return latent, x
@@ -364,9 +364,10 @@ class TestReferenceGenerators:
     def test_generate_takes_one_generator_per_cluster(self):
         design = LinearDesign(q1=2, q0=2, h=3)
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(9).spawn(4)]
-        assert bits(generate(design, rngs).outcomes) == bits(gen_linear(design, 9).outcomes)
+        [ds] = generate(design, [rngs])
+        assert bits(ds.outcomes) == bits(gen_linear(design, 9).outcomes)
         with pytest.raises(ValueError, match="3 generators for 4 clusters"):
-            generate(design, rngs[:3])
+            generate(design, [rngs, rngs[:3]])
 
     def test_cluster_views_share_the_columns(self):
         for ds in [

@@ -342,6 +342,25 @@ class TestRandomizedThreshold:
         assert c == 3.0
         assert delta == pytest.approx(0.05)
 
+    def test_rows_decide_as_alone(self):
+        # one_sided_greater decides each row of a (g, n) array, ties and
+        # infinities included, with the bits the row gets on its own
+        rng = np.random.default_rng(5)
+        rows = [
+            rng.normal(size=20),
+            np.full(20, 3.0),
+            np.r_[np.inf, rng.integers(0, 3, 19).astype(float)],
+            np.r_[-np.inf, rng.normal(size=19)],
+            np.r_[0.0, rng.integers(-1, 2, 19).astype(float)],
+        ]
+        for alpha in (0.05, 0.1, 0.5):
+            together = engine.one_sided_greater(np.array(rows), alpha)
+            for j, row in enumerate(rows):
+                alone = engine.one_sided_greater(row, alpha)
+                assert [v[j].item() for v in together] == [v.item() for v in alone]
+                assert alone[0] == permutation_quantile(row, alpha)
+                assert alone[2] == p_value(row[0], row)
+
 
 class TestPlaceboStatistics:
     def test_unadjusted_hand_values(self):

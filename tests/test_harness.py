@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo harness: seeding, determinism, outputs."""
 
 import dataclasses
+import json
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ def group_inputs(spec, sweep_index, reps, max_assignments=None):
     keys = [(sweep_index, rep) for rep in reps]
     cluster_rngs, streams = group_streams(spec.master_seed, keys, design.q1 + design.q0)
     return Inputs(
-        harness._setting(design), [generate(design, rngs) for rngs in cluster_rngs],
+        harness._setting(design), generate(design, cluster_rngs),
         spec.alpha, spec.master_seed, keys, spec.crs_pairing, max_assignments,
         spec.bootstrap_reps, streams,
     )
@@ -267,6 +269,45 @@ class TestReplicationGroups:
                     assert str(grouped[j]) == str(expected), (name, j)
                 else:
                     assert grouped[j] == expected, (name, j)
+
+
+SHIPPED_CONFIGS = sorted(
+    path.name.removesuffix(".json")
+    for path in (resources.files("fewclusters") / "configs").iterdir()
+)
+
+
+def outcome(result):
+    """A method's result by its repr, or its error by type and message."""
+    if isinstance(result, FewClustersError):
+        return type(result).__name__, str(result)
+    return repr(result)
+
+
+class TestGroupIndependence:
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_shipped_config_gives_each_replication_its_own_bits(self, name):
+        # at the first and the last sweep value, a group of 16 and groups of
+        # one give each replication byte-equal data and repr-equal results:
+        # the group's one-pass generation, row-wise sums, sorts and counts
+        # and shared critical values change no bit of any replication
+        path = resources.files("fewclusters") / "configs" / f"{name}.json"
+        raw = json.loads(path.read_text())
+        raw["replications"] = harness.REPLICATION_GROUP
+        spec = spec_from_dict(raw)
+        for sweep_index in (0, len(spec.sweep_values) - 1):
+            group = group_inputs(spec, sweep_index, range(harness.REPLICATION_GROUP))
+            grouped = {m: list(map(outcome, TABLE[m].run(group))) for m in spec.methods}
+            for rep, dataset in enumerate(group.datasets):
+                alone = group_inputs(spec, sweep_index, [rep])
+                [own] = alone.datasets
+                assert own.ids == dataset.ids, (sweep_index, rep)
+                for column in ("offsets", "outcomes", "covariates"):
+                    a, b = getattr(own, column), getattr(dataset, column)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                for m in spec.methods:
+                    [expected] = TABLE[m].run(alone)
+                    assert grouped[m][rep] == outcome(expected), (sweep_index, rep, m)
 
 
 class TestRunExperiment:
