@@ -122,12 +122,10 @@ def cmd_test(args) -> int:
         q1, q0 = dataset.layout.q1, dataset.layout.q0
         adjustment = "unadjusted" if args.unadjusted else "adjusted"
         setting = Setting(
-            _ESTIMATORS[args.estimator], q1, q0, _SIDES[args.side], adjustment
+            _ESTIMATORS[args.estimator], q1, q0, _SIDES[args.side], adjustment, args.max_perms
         )
         method.check(setting)  # before any estimation
-        inputs = Inputs(
-            setting, [dataset], args.alpha, args.seed, [()], args.pairing, args.max_perms
-        )
+        inputs = Inputs(setting, [dataset], args.alpha, args.seed, [()], args.pairing)
         result = unwrap(method.run(inputs)[0])
     except (FewClustersError, OSError) as exc:
         return _error(exc)

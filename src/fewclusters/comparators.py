@@ -29,8 +29,8 @@ from .model import (
     GroupTooSmall,
     RankDeficient,
     TestResult,
+    TooManyAssignments,
     UnbalancedGroups,
-    batch,
     each,
     unwrap,
 )
@@ -65,25 +65,22 @@ def im_t_test(x: EstimateVector, alpha: float, side: str = "greater") -> TestRes
     The variance sums each group's squared deviations over size * (size - 1).
     This is :func:`im_t_tests` on a group of one.
     """
-    return unwrap(im_t_tests([x], alpha, side)[0])
+    return im_t_tests([x], alpha, side)[0]
 
 
 def im_t_tests(
-    estimates: Sequence[EstimateVector | FewClustersError], alpha: float, side: str = "greater"
-) -> list[TestResult | FewClustersError]:
+    vectors: Sequence[EstimateVector], alpha: float, side: str = "greater"
+) -> list[TestResult]:
     """:func:`im_t_test` of each vector of a group, one layout for all, with
-    the statistics as one vector; an error in place of a vector stays its
-    result."""
-    return batch(lambda vectors: _im_t_tests(vectors, alpha, side), estimates)
-
-
-def _im_t_tests(vectors: Sequence[EstimateVector], alpha: float, side: str) -> list[TestResult]:
+    the statistics as one vector."""
     q1, q0 = vectors[0].layout.q1, vectors[0].layout.q0
     if q1 < 2 or q0 < 2:
         raise GroupTooSmall(f"two-sample variance needs q1, q0 >= 2, got ({q1}, {q0})")
     values = np.stack([x.values for x in vectors])
     t, u = values[:, :q1], values[:, q1:]
-    # np.sum uses pairwise summation along each row, as on the row alone
+    # np.sum is pairwise along a row whose entries are adjacent in memory, as
+    # in these slices of C-ordered rows, so each row sums as it does alone; a
+    # gather such as values[:, [0, 2]] is laid out by column and can differ
     mean_t, mean_u = np.sum(t, axis=1) / q1, np.sum(u, axis=1) / q0
     sst = np.sum((t - mean_t[:, None]) ** 2, axis=1)
     ssu = np.sum((u - mean_u[:, None]) ** 2, axis=1)
@@ -187,17 +184,36 @@ def _signs(pairs: int) -> np.ndarray:
     return signs
 
 
+def check_sign_table(pairs: int) -> None:
+    """Raises TooManyAssignments when the table of all 2**pairs sign vectors
+    would hold more than ``engine.ENUMERATION_CAP`` signs: from 20 pairs on."""
+    if 2**pairs * pairs > engine.ENUMERATION_CAP:
+        raise TooManyAssignments(
+            f"all 2**{pairs} sign vectors of {pairs} pairs, {2**pairs * pairs} signs, "
+            f"exceed the cap of {engine.ENUMERATION_CAP}"
+        )
+
+
 def sign_flip_statistics(beta_hats) -> np.ndarray:
     """The matched-pair statistic under every sign vector, identity first,
     of each row of ``beta_hats`` (..., pairs): shape (..., 2**pairs), each
-    row's arithmetic along its own row."""
+    row's arithmetic along its own row, in runs of rows of at most
+    ``engine.GROUP_CELLS`` signs (at least one row)."""
     b = np.asarray(beta_hats, dtype=float)
-    if b.shape[-1] < 2:
+    pairs = b.shape[-1]
+    if pairs < 2:
         raise FewClustersError("sign test needs at least two pair estimates")
-    flipped = _signs(b.shape[-1]) * b[..., None, :]
-    means = flipped.mean(axis=-1)
-    denom = np.sqrt(np.sum((flipped - means[..., None]) ** 2, axis=-1))
-    return _signed_ratio(means, denom)
+    check_sign_table(pairs)
+    signs = _signs(pairs)
+    rows = b.reshape(-1, pairs)
+    stats = np.empty((rows.shape[0], signs.shape[0]))
+    step = max(1, engine.GROUP_CELLS // signs.size)
+    for start in range(0, rows.shape[0], step):
+        flipped = signs * rows[start : start + step, None, :]
+        means = flipped.mean(axis=-1)
+        denom = np.sqrt(np.sum((flipped - means[..., None]) ** 2, axis=-1))
+        stats[start : start + step] = _signed_ratio(means, denom)
+    return stats.reshape(b.shape[:-1] + stats.shape[-1:])
 
 
 def sign_flip_tests(

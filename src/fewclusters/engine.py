@@ -2,10 +2,11 @@
 
 The statistic of an assignment needs only the sums of the estimates (and of
 their squares) over its treated clusters. Full enumeration builds these from
-a prefix part and a cached suffix table, so it builds no mask row. The
-estimate vectors of a replication group are tested together: their placebo
-statistics form one (g, n) array, built elementwise, and each row is decided
-by the one row-wise rule, so a vector's result has the bits it has alone.
+prefix and suffix rows of ``bit_rows``, so it builds no mask row of a whole
+assignment. The estimate vectors of a replication group are tested
+together: their placebo statistics form one (g, n) array, built
+elementwise, and each row is decided by the one row-wise rule, so a
+vector's result has the bits it has alone.
 
 The evaluated set of assignments always has the identity assignment first,
 so the observed statistic is a member of the placebo distribution. That
@@ -15,8 +16,6 @@ equivalent, and it also caps the p-value below at 1/N.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -31,14 +30,12 @@ from .model import (
     TestConfig,
     TestResult,
     TooManyAssignments,
-    batch,
-    unwrap,
 )
 
 ENUMERATION_CAP = 10_000_000
 
-# Width of the cached table of suffix rows: all 2**12 rows of 12 bits, split
-# by the number of ones (at most C(12, 6) = 924 rows each).
+# Width of the suffix, whose rows with k ones (at most C(12, 6) = 924) are
+# cached per (width, k) as float matrices.
 TABLE_BITS = 12
 
 # Subsampled assignments are drawn in blocks of this many rows, so their
@@ -81,69 +78,59 @@ def bit_rows(n: int) -> np.ndarray:
 
 
 @cache
-def _suffix_table() -> tuple[np.ndarray, ...]:
-    """Entry k: the rows of ``bit_rows(TABLE_BITS)`` with k ones, in order."""
-    rows = bit_rows(TABLE_BITS)
-    ones = rows.sum(axis=1)
-    table = tuple(rows[ones == k] for k in range(TABLE_BITS + 1))
-    for block in table:
-        block.flags.writeable = False
-    return table
-
-
-@cache
 def _suffix_rows(t: int, k: int) -> np.ndarray:
-    """The rows of t <= TABLE_BITS bits with 0 <= k <= t ones, descending,
-    as a read-only float matrix.
-
-    They are the rows of the table entry whose first TABLE_BITS - t bits are
-    zero, which are its last C(t, k) rows.
-    """
-    rows = _suffix_table()[k][-math.comb(t, k) :, TABLE_BITS - t :].astype(float)
+    """The rows of ``bit_rows(t)`` with k ones, in order, as read-only floats."""
+    rows = bit_rows(t)
+    rows = rows[rows.sum(axis=1) == k].astype(float)
     rows.flags.writeable = False
     return rows
 
 
-def _mask_sums(mask: np.ndarray, moments: Moments) -> Moments:
-    """Each moment summed over the treated clusters of every mask row, by
-    one matrix-vector product per moment."""
-    fmask = np.asarray(mask, dtype=float)
-    return tuple(fmask @ m for m in moments)
+def _prefixes(p: int, lo: int, hi: int) -> Iterator[list[int]]:
+    """The set bits of the rows of ``bit_rows(p)`` with lo to hi ones, in
+    order, without the 2**p rows: a walk bit by bit, set before clear, on a
+    stack of partial rows that each lead to at least one such row."""
+    stack = [(0, [])]  # (next bit, set bits so far)
+    while stack:
+        start, treated = stack.pop()
+        need, room = max(lo - len(treated), 0), min(hi - len(treated), p - start)
+        if room == 0 or need == p - start:  # the rest is all zeros or all ones
+            yield treated + list(range(start, start + need))
+        else:
+            stack += [(start + 1, treated), (start + 1, treated + [start])]
+
+
+def _mask_sums(masks: Sequence[np.ndarray], moments: Moments) -> Moments:
+    """Each moment (g, q) summed over the treated clusters of each row of
+    float mask j (b, q) for its row j, as (g, b): one matrix-vector product
+    per row, since a gemm over all rows could round differently."""
+    return tuple(np.stack([mask @ row for mask, row in zip(masks, m)]) for m in moments)
 
 
 def _enumerated_sums(moments: Moments, q1: int) -> Iterator[Moments]:
-    """Treated sums of all C(q, q1) assignments in lexicographic order.
+    """Treated sums of all C(q, q1) assignments in lexicographic order, for
+    each row of the moments (g, q).
 
     Lexicographic order of the treated sets is descending order of their
     mask rows read as q-bit integers with cluster 0 the top bit, so the
-    identity comes first. The last t = min(q, TABLE_BITS) clusters take their
-    bits from the cached table, whose rows with k ones give one block of
-    suffix sums. The first q - t clusters form a prefix; the prefixes with j
-    ones come from ``itertools.combinations`` in descending order and are
-    merged by value, and each yields its own sum plus the suffix block with
-    q1 - j ones. No product spans more than C(12, 6) rows, so no sum depends
-    on how BLAS splits its work.
+    identity comes first. The rows of the last t = min(q, TABLE_BITS)
+    clusters with k ones give a block of suffix sums. A prefix of the first
+    q - t clusters with j ones adds its own sum, along each C-ordered row
+    of its gathered entries as on the row alone, to the block with q1 - j
+    ones. No product spans more than C(12, 6) rows, so no sum depends on
+    how BLAS splits its work.
     """
-    q = moments[0].shape[0]
+    g, q = moments[0].shape
     t = min(q, TABLE_BITS)
     p = q - t
-    if p == 0:
-        yield _mask_sums(_suffix_rows(t, q1), moments)
-        return
-    ones = range(max(0, q1 - t), min(q1, p) + 1)
-    tails = tuple(m[p:] for m in moments)
-    suffix = {j: _mask_sums(_suffix_rows(t, q1 - j), tails) for j in ones}
-    runs = [
-        (
-            (sum(1 << (p - 1 - i) for i in combo), combo)
-            for combo in itertools.combinations(range(p), j)
-        )
-        for j in ones
-    ]
-    for _, combo in heapq.merge(*runs, reverse=True):
-        treated = list(combo)
-        yield tuple(
-            m[treated].sum() + s for m, s in zip(moments, suffix[len(combo)])
+    suffix = {}
+    for treated in _prefixes(p, q1 - t, q1):
+        j = len(treated)
+        if j not in suffix:
+            suffix[j] = _mask_sums([_suffix_rows(t, q1 - j)] * g, [m[:, p:] for m in moments])
+        yield suffix[j] if p == 0 else tuple(
+            np.take(m, treated, axis=-1).sum(axis=-1, keepdims=True) + s
+            for m, s in zip(moments, suffix[j])
         )
 
 
@@ -167,11 +154,6 @@ def _joined(blocks: list[Moments]) -> Moments:
     if len(blocks) == 1:
         return blocks[0]
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
-
-
-def _stacked(parts: Sequence[Moments]) -> Moments:
-    """One block of every vector's treated sums, each moment stacked (g, b)."""
-    return tuple(np.stack(column) for column in zip(*parts))
 
 
 def _subsampled_masks(
@@ -343,27 +325,24 @@ def placebo_distributions(
     """The placebo statistic of each vector, one layout for all, over every
     evaluated assignment, identity first: shape (len(vectors), n).
 
-    All C(q, q1) assignments in lexicographic order, from prefix plus suffix
-    sums without a mask row; or, when ``cfg.max_assignments`` is below that
-    count, the identity plus that many draws, vector j's from ``seeds[j]``.
-    ``checked_count`` raises before any work when either exceeds
-    ENUMERATION_CAP. Each treated sum is one product per vector, and the
-    statistics are elementwise over the rows. With
-    adjustment, a split of zero two-sample variance away from the identity
-    gives a signed infinity, or 0.0 when its comparison of means is 0 too,
-    so quantiles and p-values stay defined.
+    All C(q, q1) assignments in lexicographic order or, when
+    ``cfg.max_assignments`` is below that count, the identity plus that many
+    draws, vector j's from ``seeds[j]``; ``checked_count`` raises first when
+    either exceeds ENUMERATION_CAP. With adjustment, a split of zero
+    two-sample variance away from the identity gives a signed infinity, or
+    0.0 when its comparison of means is 0 too, so quantiles and p-values
+    stay defined.
     """
     layout = vectors[0].layout
     n, drawn = _evaluated(layout, cfg)
     v = np.array([x.values for x in vectors], dtype=float)
     moments = (v, v * v) if cfg.adjustment == "adjusted" else (v,)
-    rows = list(zip(*moments))  # each vector's moments
     if drawn:
-        masks = [_subsampled_masks(layout, cfg.max_assignments, seed) for seed in seeds]
-        parts = ([_mask_sums(mask, m) for mask, m in zip(block, rows)] for block in zip(*masks))
+        draws = zip(*(_subsampled_masks(layout, cfg.max_assignments, seed) for seed in seeds))
+        blocks = (_mask_sums([m.astype(float) for m in masks], moments) for masks in draws)
     else:
-        parts = zip(*(_enumerated_sums(m, layout.q1) for m in rows))
-    return _statistics(moments, _fused(map(_stacked, parts)), n, layout.q1)
+        blocks = _enumerated_sums(moments, layout.q1)
+    return _statistics(moments, _fused(blocks), n, layout.q1)
 
 
 def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
@@ -374,31 +353,20 @@ def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
     estimates. "two_sided" runs both one-sided tests at alpha/2 and doubles
     the smaller p-value (capped at 1). The tie-splitting probability of the
     randomized test is reported but never used for the decision. This is
-    :func:`run_placebo_tests` on a group of one.
+    :func:`placebo_tests` on a group of one, drawing from ``cfg.seed``.
     """
-    [result] = run_placebo_tests([x], cfg)
-    return unwrap(result)
+    return placebo_tests([x], cfg, [cfg.seed])[0]
 
 
-def run_placebo_tests(
-    estimates: Sequence[EstimateVector | FewClustersError],
-    cfg: TestConfig,
-    seeds: Optional[Sequence] = None,
-) -> list[TestResult | FewClustersError]:
-    """:func:`run_placebo_test` of each vector of a group, with ``cfg``, and
-    vector j drawing any subsample from ``seeds[j]`` (default ``cfg.seed``),
-    in order; an error in place of a vector stays its result.
+def placebo_tests(
+    vectors: Sequence[EstimateVector], cfg: TestConfig, seeds: Sequence
+) -> list[TestResult]:
+    """:func:`run_placebo_test` of each vector of a group, one layout for
+    all, vector j drawing any subsample from ``seeds[j]``, in order.
 
     The vectors' statistics are one array, decided row by row by
     :func:`one_sided_greater`, in runs of at most GROUP_CELLS statistics.
     """
-    seeds = [cfg.seed] * len(estimates) if seeds is None else seeds
-    return batch(lambda vectors, seeds: _placebo_tests(vectors, cfg, seeds), estimates, seeds)
-
-
-def _placebo_tests(
-    vectors: Sequence[EstimateVector], cfg: TestConfig, seeds: Sequence
-) -> list[TestResult]:
     n, _ = _evaluated(vectors[0].layout, cfg)
     step = max(1, GROUP_CELLS // n)
     results = []

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import engine
 from .dgp import LinearDesign, ProbitDesign, generate
 from .methods import TABLE, Inputs, Setting, group_streams
 from .model import FewClustersError, TooManyAssignments
@@ -76,14 +75,12 @@ class ExperimentSpec:
         # every sweep point's design and methods, before any replication runs
         for value in self.sweep_values:
             setting = _setting(_apply_sweep(self.design, self.sweep_param, value))
-            for method in self.methods:
-                TABLE[method].check(setting)
-            if {"placebo", "placebo_unadjusted"} & set(self.methods):
-                try:
-                    engine.checked_count(setting.q1 + setting.q0, setting.q1)
-                except TooManyAssignments as exc:
-                    at = f"sweep.values: at {self.sweep_param} = {value:g}"
-                    raise TooManyAssignments(f"{at}, {exc}") from None
+            try:
+                for method in self.methods:
+                    TABLE[method].check(setting)
+            except TooManyAssignments as exc:
+                at = f"sweep.values: at {self.sweep_param} = {value:g}"
+                raise TooManyAssignments(f"{at}, {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """The table of inference methods that ``test`` and ``simulate`` both run.
 
-Each entry holds a name, checks that say where the method does not apply,
-and a ``run`` function that gives, in group order, each dataset's result or
-error from one shared :class:`Inputs`, the datasets of one setting, whose
-fits run once per group. Checks read only a :class:`Setting`, so the
-harness checks every sweep point before any data exist. Adding a comparator
-means adding one entry.
+Each entry holds a name, checks that say where the method does not apply
+or would enumerate past the cap, and a ``run`` function that gives, in
+group order, each dataset's result or error from one shared
+:class:`Inputs`, the datasets of one setting, whose fits run once per
+group. Checks read only a :class:`Setting`, so the harness checks every
+sweep point before any data exist. Adding a comparator means adding one
+entry.
 """
 
 from __future__ import annotations
@@ -174,13 +175,14 @@ def _seed_words(pools: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Setting:
-    """What decides whether a method applies."""
+    """What decides whether a method applies, and how the placebo test runs."""
 
     estimator: str  # "ols_intercept" | "did_slope" | "probit"
     q1: int
     q0: int
     side: str = "greater"
     adjustment: str = "adjusted"  # read by the placebo test only
+    max_assignments: Optional[int] = None  # placebo draws, when below C(q, q1)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,6 @@ class Inputs:
     entropy: int
     keys: Sequence[tuple[int, ...]]
     pairing: str = "random"
-    max_assignments: Optional[int] = None
     bootstrap_reps: int = 199
     streams: Optional[np.ndarray] = None
 
@@ -242,7 +243,8 @@ class Inputs:
         return comparators.pooled_regressions(self.datasets)
 
 
-# A check gives the reason why a method does not apply in a setting, or None.
+# A check gives the reason why a method does not apply in a setting, or None;
+# a cap check raises TooManyAssignments past engine.ENUMERATION_CAP instead.
 Check = Callable[[Setting], Optional[str]]
 
 
@@ -268,6 +270,14 @@ def _adjusted_two_per_group(s: Setting) -> Optional[str]:
     return "the adjusted statistic needs two clusters per group" if spread else None
 
 
+def _placebo_cap(s: Setting) -> None:
+    engine.checked_count(s.q1 + s.q0, s.q1, s.max_assignments)
+
+
+def _sign_cap(s: Setting) -> None:
+    comparators.check_sign_table(s.q1)
+
+
 @dataclass(frozen=True)
 class Method:
     name: str
@@ -275,7 +285,8 @@ class Method:
     checks: tuple[Check, ...] = ()
 
     def check(self, s: Setting) -> None:
-        """Raise MethodInapplicable, naming method and (q1, q0), if it does not apply."""
+        """Raise MethodInapplicable, naming method and (q1, q0), if it does not
+        apply, and TooManyAssignments if it would enumerate past the cap."""
         for check in self.checks:
             reason = check(s)
             if reason:
@@ -286,13 +297,14 @@ class Method:
 
 
 def _placebo(i: Inputs, adjustment: Optional[str] = None) -> list:
-    s, m = i.setting, i.max_assignments
-    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, m)
-    return engine.run_placebo_tests(i.estimates, cfg, i.rngs("subsample") if m else None)
+    s = i.setting
+    cfg = TestConfig(i.alpha, s.side, adjustment or s.adjustment, s.max_assignments)
+    seeds = i.rngs("subsample") if s.max_assignments else [None] * len(i.datasets)
+    return batch(lambda v, seeds: engine.placebo_tests(v, cfg, seeds), i.estimates, seeds)
 
 
 def _im(i: Inputs) -> list:
-    return comparators.im_t_tests(i.estimates, i.alpha, i.setting.side)
+    return batch(lambda v: comparators.im_t_tests(v, i.alpha, i.setting.side), i.estimates)
 
 
 def _crs(i: Inputs, randomized: bool = False) -> list:
@@ -326,14 +338,14 @@ def _oracle(i: Inputs) -> list:
     return [TestResult(u, i.alpha, u, u < i.alpha, n_assignments=0) for u in p_values]
 
 
-_PAIRED = (_estimator("ols_intercept", "probit"), _greater_only, _matched_pairs)
+_PAIRED = (_estimator("ols_intercept", "probit"), _greater_only, _matched_pairs, _sign_cap)
 _OLS = (_estimator("ols_intercept"),)
 
 TABLE: dict[str, Method] = {
     m.name: m
     for m in (
-        Method("placebo", _placebo, (_adjusted_two_per_group,)),
-        Method("placebo_unadjusted", lambda i: _placebo(i, "unadjusted")),
+        Method("placebo", _placebo, (_adjusted_two_per_group, _placebo_cap)),
+        Method("placebo_unadjusted", lambda i: _placebo(i, "unadjusted"), (_placebo_cap,)),
         Method("im", _im, (_two_per_group,)),
         Method("crs", _crs, _PAIRED),
         Method("crs_randomized", lambda i: _crs(i, randomized=True), _PAIRED),

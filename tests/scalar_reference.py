@@ -147,7 +147,7 @@ def placebo_statistics(
 ) -> np.ndarray:
     """The placebo statistic of every assignment row of a bool ``mask``, row
     0 the identity, from each row's treated sums."""
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(values, dtype=float)[None]
     moments = (v, v * v) if adjusted else (v,)
-    sums = engine._mask_sums(mask, moments)
-    return engine._statistics(moments, [sums], mask.shape[0], q1)
+    sums = engine._mask_sums([mask.astype(float)], moments)
+    return engine._statistics(moments, [sums], mask.shape[0], q1)[0]

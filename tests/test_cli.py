@@ -284,6 +284,32 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err == "error: 101 drawn placebo assignments exceed the cap of 100\n"
 
+    def test_placebo_above_the_cap_refused_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "ENUMERATION_CAP", 100)
+        monkeypatch.setattr(estimators, "estimate_many", self.no_fit)
+        csv_path = write_csv(tmp_path / "d.csv", n_clusters=10)  # C(10, 5) = 252
+        assert main(["test", "--input", str(csv_path), "--unadjusted"]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: all C(10, 5) = 252 placebo assignments exceed the cap of 100\n"
+
+    @pytest.mark.parametrize("method", ["crs", "crs_randomized"])
+    def test_sign_flips_above_the_cap_exit_code(self, tmp_path, capsys, monkeypatch, method):
+        # 2**4 * 4 = 64 signs fit under a cap of 100 and 2**5 * 5 = 160 do
+        # not, which is refused before any pair is matched or fitted
+        monkeypatch.setattr(engine, "ENUMERATION_CAP", 100)
+        argv = ["test", "--method", method, "--input"]
+        code, report = self.run(capsys, *argv, str(write_csv(tmp_path / "a.csv", n_clusters=8)))
+        assert (code, report["n_assignments"]) == (EXIT_OK, 16)
+        monkeypatch.setattr(comparators, "pair_clusters", self.no_fit)
+        csv_path = write_csv(tmp_path / "b.csv", n_clusters=10)
+        assert main([*argv, str(csv_path)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: all 2**5 sign vectors of 5 pairs, 160 signs, exceed the cap of 100\n"
+
+    @staticmethod
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the cap must be checked before any fit")
+
     def test_other_methods_run(self, tmp_path, capsys):
         csv_path = write_csv(tmp_path / "d.csv")
         for method in ("im", "crs", "wildboot", "bch"):

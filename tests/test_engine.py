@@ -135,12 +135,34 @@ class TestStreamedEnumeration:
             v = scale * 2.0 ** np.arange(q - 1, -1, -1)
             for q1 in range(1, q):
                 ref = reference_mask(enumerate_assignments(ClusterLayout(q1, q - q1)), q)
-                blocks = list(engine._enumerated_sums((v, v * v), q1))
+                blocks = list(engine._enumerated_sums((v[None], (v * v)[None]), q1))
                 for k, weights in enumerate((v, v * v)):
                     np.testing.assert_array_equal(
-                        np.concatenate([b[k] for b in blocks]),
+                        np.concatenate([b[k][0] for b in blocks]),
                         ref.astype(np.int64) @ weights.astype(np.int64),
                     )
+
+    def test_prefixes_are_the_bit_rows_in_range(self):
+        for p in range(9):
+            rows = bit_rows(p)
+            for lo in range(-2, p + 1):
+                for hi in range(max(lo, 0), p + 3):
+                    expected = [np.flatnonzero(r).tolist() for r in rows if lo <= r.sum() <= hi]
+                    assert list(engine._prefixes(p, lo, hi)) == expected, (p, lo, hi)
+
+    def test_rows_match_combinations_past_the_suffix(self):
+        # one to three treated (or untreated) clusters among up to 40 put a
+        # prefix of up to 28 clusters before the suffix; the prefix rows of
+        # bit_rows(28) would take gigabytes
+        for q in (25, 31, 40):
+            v = 2.0 ** np.arange(q - 1, -1, -1)
+            for q1 in (1, 2, 3, q - 3, q - 2, q - 1):
+                ref = reference_mask(enumerate_assignments(ClusterLayout(q1, q - q1)), q)
+                blocks = engine._enumerated_sums((v[None],), q1)
+                np.testing.assert_array_equal(
+                    np.concatenate([b[0][0] for b in blocks]),
+                    ref.astype(np.int64) @ v.astype(np.int64),
+                )
 
     def test_statistics_do_not_depend_on_the_blocks(self):
         # the same treated sums split into blocks of 1, 924 and 65,536 rows,
@@ -149,17 +171,18 @@ class TestStreamedEnumeration:
         for q1, q0 in ((7, 7), (8, 6)):
             for v in (rng.normal(size=q1 + q0), np.r_[np.ones(q1), rng.normal(size=q0)]):
                 for adjusted in (True, False):
-                    moments = (v, v * v) if adjusted else (v,)
-                    sums = [np.concatenate(parts) for parts in
+                    w = v[None]  # a group of one
+                    moments = (w, w * w) if adjusted else (w,)
+                    sums = [np.concatenate(parts, axis=-1) for parts in
                             zip(*engine._enumerated_sums(moments, q1))]
-                    n = sums[0].shape[0]
+                    n = sums[0].shape[-1]
                     results = [
                         engine._statistics(
                             moments,
-                            (tuple(s[i : i + rows] for s in sums) for i in range(0, n, rows)),
+                            (tuple(s[:, i : i + rows] for s in sums) for i in range(0, n, rows)),
                             n,
                             q1,
-                        )
+                        )[0]
                         for rows in (1, 924, 65_536)
                     ]
                     cfg = TestConfig(adjustment="adjusted" if adjusted else "unadjusted")
@@ -275,6 +298,24 @@ class TestStreamedEnumeration:
             digests.append(proc.stdout.split())
         assert len(digests[0]) == 40
         assert digests[0] == digests[1]
+
+
+class TestGroupBitwise:
+    @pytest.mark.parametrize("q1, q0", [(7, 7), (9, 6), (10, 10)])
+    @pytest.mark.parametrize("adjustment", ["adjusted", "unadjusted"])
+    @pytest.mark.parametrize("m", [None, 40])
+    def test_group_past_the_suffix_is_each_vector_alone(self, q1, q0, adjustment, m):
+        # past 12 clusters a prefix is summed over the gathered entries of
+        # every row at once; at 10+10 a prefix has eight ones, where numpy
+        # sums a row laid out by column differently from the row alone
+        layout = ClusterLayout(q1, q0)
+        rng = np.random.default_rng(59)
+        xs = [EstimateVector(v, layout) for v in rng.normal(size=(16, q1 + q0))]
+        cfg = TestConfig(adjustment=adjustment, max_assignments=m)
+        group = engine.placebo_distributions(xs, cfg, list(range(16)))
+        for j, x in enumerate(xs):
+            alone = engine.placebo_distributions([x], cfg, [j])[0]
+            assert group[j].tobytes() == alone.tobytes(), j
 
 
 class TestQuantile:

@@ -66,10 +66,10 @@ def group_inputs(spec, sweep_index, reps, max_assignments=None):
     design = harness._apply_sweep(spec.design, spec.sweep_param, value)
     keys = [(sweep_index, rep) for rep in reps]
     cluster_rngs, streams = group_streams(spec.master_seed, keys, design.q1 + design.q0)
+    setting = dataclasses.replace(harness._setting(design), max_assignments=max_assignments)
     return Inputs(
-        harness._setting(design), generate(design, cluster_rngs),
-        spec.alpha, spec.master_seed, keys, spec.crs_pairing, max_assignments,
-        spec.bootstrap_reps, streams,
+        setting, generate(design, cluster_rngs), spec.alpha, spec.master_seed, keys,
+        spec.crs_pairing, spec.bootstrap_reps, streams,
     )
 
 
@@ -125,6 +125,14 @@ class TestSpecValidation:
         with pytest.raises(TooManyAssignments, match=message):
             fast_spec(sweep_param="q", sweep_values=(6.0, 30.0), methods=("im", method))
         assert fast_spec(sweep_param="q", sweep_values=(6.0, 30.0), methods=("im",))
+
+    @pytest.mark.parametrize("method", ["crs", "crs_randomized"])
+    def test_sign_table_cap_checked_at_every_sweep_point(self, method):
+        # 2**19 * 19 signs fit under the cap, 2**20 * 20 do not
+        message = r"sweep.values: at q = 40, all 2\*\*20 sign vectors of 20 pairs"
+        with pytest.raises(TooManyAssignments, match=message):
+            fast_spec(sweep_param="q", sweep_values=(6.0, 38.0, 40.0), methods=("im", method))
+        assert fast_spec(sweep_param="q", sweep_values=(6.0, 38.0), methods=("im", method))
 
 
 class TestSeeding:
