@@ -17,7 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import harness
 from .methods import TABLE, Inputs, Setting
 from .model import (
     ClusterDataset,
@@ -47,19 +46,21 @@ def read_csv_dataset(path) -> ClusterDataset:
     cluster_id, treated, outcome, optional post and covariates x1..xd."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _read_rows(path, csv.DictReader(fh))
+            return _read_rows(path, csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from None
 
 
-def _read_rows(path, reader: csv.DictReader) -> ClusterDataset:
-    """The dataset of a CSV's rows, grouped by cluster id."""
-    if reader.fieldnames is None:
+def _read_rows(path, reader) -> ClusterDataset:
+    """The dataset of a CSV's rows, grouped by cluster id. Cells are read by
+    their position under the header's stripped names; blank lines are no
+    rows, and the first row after the header is row 2."""
+    header = next(reader, None)
+    if header is None:
         raise DataError(f"{path}: empty CSV")
-    # rows are read under the same stripped names the checks below see
-    reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
+    fields = [f.strip() for f in header]
     duplicates = sorted({f for f in fields if fields.count(f) > 1})
     if duplicates:
         raise DataError(f"{path}: duplicate columns {duplicates}")
@@ -73,27 +74,31 @@ def _read_rows(path, reader: csv.DictReader) -> ClusterDataset:
         raise DataError(
             f"{path}: unknown columns {unknown}; covariates must be named x1..xd"
         )
-    covariate_cols = expected
     has_post = "post" in fields
+    at = fields.index
+    id_at, treated_at, outcome_at = at("cluster_id"), at("treated"), at("outcome")
+    covariates_at = [at(c) for c in expected]
+    post_at = at("post") if has_post else None
 
     # cluster id -> (treated, outcomes, covariate rows, post flags)
     columns: dict[str, tuple[bool, list, list, list]] = {}
-    for row_num, row in enumerate(reader, start=2):
-        # DictReader files the cells past the header under the key None,
-        # and gives the columns past a short row's last cell None
-        extra, missing = len(row.pop(None, ())), list(row.values()).count(None)
-        if extra or missing:
+    row_num = 1
+    for row in reader:
+        if not row:
+            continue
+        row_num += 1
+        if len(row) != len(fields):
             raise DataError(
                 f"{path}: malformed row {row_num}: "
-                f"{len(fields) + extra - missing} cells, the header has {len(fields)}"
+                f"{len(row)} cells, the header has {len(fields)}"
             )
         try:
-            cid = row["cluster_id"].strip()
-            treated = _parse_binary(row["treated"], "treated", row_num)
-            outcome = float(row["outcome"])
-            covs = tuple(float(row[c]) for c in covariate_cols)
-            post = _parse_binary(row["post"], "post", row_num) if has_post else None
-        except (KeyError, TypeError, ValueError) as exc:
+            cid = row[id_at].strip()
+            treated = _parse_binary(row[treated_at], "treated", row_num)
+            outcome = float(row[outcome_at])
+            covs = tuple([float(row[i]) for i in covariates_at])
+            post = _parse_binary(row[post_at], "post", row_num) if has_post else None
+        except ValueError as exc:
             raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
         if cid not in columns:
             columns[cid] = (treated, [], [], [])
@@ -151,6 +156,8 @@ def _error(exc: Exception) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import harness  # so that a ``test`` loads neither it nor the data generators
+
     try:
         with open(args.config, encoding="utf-8-sig") as fh:
             raw = json.load(fh)

@@ -6,7 +6,9 @@ observations more than h positions apart are independent. Treated and
 untreated clusters deliberately differ in error scale and covariate law to
 keep the clusters heterogeneous. A generator writes its draws straight into
 the columns of one :class:`~fewclusters.model.ClusterDataset`, cluster k in
-rows ``offsets[k]:offsets[k + 1]``.
+rows ``offsets[k]:offsets[k + 1]``, which takes them by
+:meth:`~fewclusters.model.ClusterDataset.trusted`: columns built here are not
+checked again.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .methods import spawn_generators
 from .model import ClusterDataset, ClusterLayout, HOutOfRange
+from .streams import spawn_generators
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,11 @@ def _generate(
     for clusters in range(0, len(rngs), q):
         rows = slice(clusters, clusters + q)
         offsets = np.concatenate([[0], np.cumsum(sizes[rows])])
-        columns = outcomes[rows][real[rows]], covariates[rows][real[rows]]
-        datasets.append(ClusterDataset(ids, layout, offsets, *_frozen(*columns)))
+        columns = offsets, outcomes[rows][real[rows]], covariates[rows][real[rows]]
+        # a design's theta0, beta or eta can overflow the outcomes, and the
+        # checked constructor then raises the DataError that names the cluster
+        make = ClusterDataset.trusted if np.isfinite(columns[1]).all() else ClusterDataset
+        datasets.append(make(ids, layout, *_frozen(*columns)))
     return datasets
 
 
@@ -180,7 +185,7 @@ def _children(seed, count: int) -> list[np.random.Generator]:
 
 
 def _frozen(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The columns made read-only, so that a dataset takes them uncopied."""
+    """The columns made read-only, so that a dataset can take them uncopied."""
     for column in columns:
         column.flags.writeable = False
     return columns
@@ -207,36 +212,3 @@ def gen_probit(design: ProbitDesign, seed) -> ClusterDataset:
     """Generate binary outcomes: 1 when the latent linear outcome is positive."""
     return generate(design, [_children(seed, design.q1 + design.q0)])[0]
 
-
-def gen_did_panel(
-    q1: int,
-    q0: int,
-    periods: int,
-    t0: int,
-    beta: float,
-    seed,
-    theta0: float = 0.0,
-    fe_scale: float = 1.0,
-    noise_scale: float = 1.0,
-) -> ClusterDataset:
-    """Synthetic panel for the post-period slope estimator.
-
-    Each cluster is one unit observed over ``periods`` time points; the
-    outcome is theta0*post + beta*post*treated + fixed effect + noise, with
-    post = 1 for t > t0 (1-based periods).
-    """
-    q = q1 + q0
-    rngs = _children(seed, q)
-    post = np.tile((np.arange(1, periods + 1) > t0).astype(float), q)
-    outcomes = np.empty(q * periods)
-    for k, rng in enumerate(rngs):
-        rows = slice(k * periods, (k + 1) * periods)
-        fe = fe_scale * rng.standard_normal()
-        outcomes[rows] = (
-            theta0 * post[rows]
-            + beta * post[rows] * float(k < q1)
-            + fe
-            + noise_scale * rng.standard_normal(periods)
-        )
-    offsets = np.arange(q + 1) * periods
-    return ClusterDataset(_ids(q), ClusterLayout(q1, q0), offsets, outcomes, post=post)

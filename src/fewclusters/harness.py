@@ -14,13 +14,13 @@ import functools
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .dgp import LinearDesign, ProbitDesign, generate
-from .methods import TABLE, Inputs, Setting, group_streams
+from .methods import TABLE, Inputs, Setting
 from .model import FewClustersError, TooManyAssignments
+from .streams import group_streams
 
 
 SWEEP_PARAMS = ("beta", "h", "q")
@@ -195,6 +195,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> RejectionTable:
     if workers <= 1:
         results = list(map(run, tasks))
     else:
+        # imported here, so a serial run does not load the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     counts = [Counter() for _ in spec.sweep_values]

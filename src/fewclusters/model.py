@@ -293,7 +293,8 @@ class ClusterDataset:
     """A dataset's columns: ``outcomes`` (n,), ``covariates`` (n, d) and
     ``post`` (n,) or None. Cluster k, ``ids[k]``, owns rows
     ``offsets[k]:offsets[k + 1]`` and is treated when k < ``layout.q1``.
-    The columns are copied and checked once, by :func:`checked_columns`.
+    The columns are copied and checked once, by :func:`checked_columns`,
+    except those of :meth:`trusted`.
     """
 
     ids: tuple[str, ...]
@@ -311,6 +312,19 @@ class ClusterDataset:
         names = ("outcomes", "covariates", "post", "offsets", "ids")
         for name, value in zip(names, (*checked_columns(ids, *columns), ids)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def trusted(cls, ids, layout, offsets, outcomes, covariates, post=None) -> "ClusterDataset":
+        """A dataset of columns its caller built as :func:`checked_columns`
+        returns them: ids a tuple, read-only float64 columns and intp
+        offsets that fit them. They are taken as they are, neither copied
+        nor checked; the data generators build theirs so."""
+        dataset = object.__new__(cls)  # no __post_init__: the columns are built checked
+        dataset.__dict__.update(
+            ids=ids, layout=layout, offsets=offsets, outcomes=outcomes,
+            covariates=covariates, post=post,
+        )
+        return dataset
 
     @cached_property
     def clusters(self) -> tuple[Cluster, ...]:

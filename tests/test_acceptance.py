@@ -11,9 +11,9 @@ import numpy as np
 
 from fewclusters.dgp import LinearDesign, ProbitDesign, circular_ma
 from fewclusters.engine import placebo_distribution, run_placebo_test
-from fewclusters.estimators import probit_moment, probit_moment_jacobian
 from fewclusters.harness import ExperimentSpec, emit_csv, run_experiment
 from fewclusters.model import ClusterLayout, EstimateVector, TestConfig
+from fewclusters.probit import probit_moment, probit_moment_jacobian
 
 ALPHA = 0.05
 BETA_GRID = tuple(round(0.15 * i, 2) for i in range(11))  # 0.0 .. 1.5

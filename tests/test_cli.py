@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -20,8 +21,9 @@ from fewclusters.cli import (
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.harness import spec_from_dict
-from fewclusters.methods import STREAMS, TABLE, stream
+from fewclusters.methods import TABLE
 from fewclusters.model import DataError
+from fewclusters.streams import STREAMS, stream
 
 
 def run_cli_process(*args):
@@ -583,6 +585,25 @@ class TestSimulateCommand:
         assert "im does not apply at (q1, q0) = (1, 3)" in capsys.readouterr().err
         assert not out.exists()  # refused before any replication ran
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("design", [{"theta0": 1e308, "beta": 1e308}, {"eta": [1e308, 1e308]}])
+    def test_overflowing_design_exit_code(self, tmp_path, capsys, design):
+        # finite parameters whose outcomes overflow are refused as data
+        # with nan or inf, not tested
+        bad = {
+            **self.CONFIG,
+            "design": {**self.CONFIG["design"], "h": 1, **design},
+            "sweep": {"param": "beta", "values": [design.get("beta", 0.0)]},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert err.startswith("error: cluster 'c0") and err.endswith(": outcomes contain nan or inf\n")
+        assert not (out / "rejection_table.csv").exists()
+
     def test_output_path_is_a_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(self.CONFIG))
@@ -684,24 +705,35 @@ def test_cli_import_skips_scipy_stats():
 LEAN_RUN = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(
+        m for m in sys.modules
+        if m.startswith("fewclusters.")
+        or m.split(".")[0] in ("scipy", "concurrent", "multiprocessing")
+    )
 
-loaded = {}
+seen = {}
 import fewclusters
-loaded["import fewclusters"] = scipy_modules()
+seen["import fewclusters"] = loaded()
 import fewclusters.cli
-loaded["import fewclusters.cli"] = scipy_modules()
-for path, estimator in zip(sys.argv[1::2], sys.argv[2::2]):
+seen["import fewclusters.cli"] = loaded()
+*tests, config, out = sys.argv[1:]
+for path, estimator in zip(tests[::2], tests[1::2]):
     argv = ["test", "--input", path, "--method", "placebo", "--estimator", estimator]
     code = fewclusters.cli.main(argv)
-    loaded[f"placebo {estimator} exit {code}"] = scipy_modules()
-print(json.dumps(loaded))
+    seen[f"placebo {estimator} exit {code}"] = loaded()
+code = fewclusters.cli.main(["simulate", "--config", config, "--out", out, "--threads", "1"])
+seen[f"simulate exit {code}"] = loaded()
+print(json.dumps(seen))
 """
 
 
-def test_placebo_run_loads_no_scipy(tmp_path):
-    # scipy.special is imported only by the probit fit and the t tests
+def test_placebo_run_loads_only_what_it_runs(tmp_path):
+    # the package resolves its public names on first use, so a placebo test
+    # loads neither the harness and its process pool, nor the data
+    # generators, the streams, the probit solver or the comparators; scipy is
+    # imported only by the probit fit and the t tests; a serial simulate
+    # loads the harness, but no pool
     linear = write_csv(tmp_path / "linear.csv")
     did = tmp_path / "did.csv"
     rows = [
@@ -710,15 +742,51 @@ def test_placebo_run_loads_no_scipy(tmp_path):
         for i in range(4)
     ]
     did.write_text("\n".join(["cluster_id,treated,outcome,post", *rows]) + "\n")
-    proc = run_cli_process("-c", LEAN_RUN, str(linear), "ols", str(did), "did")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TestSimulateCommand.CONFIG, "methods": ["placebo"]}))
+    proc = run_cli_process(
+        "-c", LEAN_RUN, str(linear), "ols", str(did), "did", str(config), str(tmp_path / "out")
+    )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    placebo = [f"fewclusters.{m}" for m in ("cli", "engine", "estimators", "methods", "model")]
+    assert seen == {
         "import fewclusters": [],
-        "import fewclusters.cli": [],
-        "placebo ols exit 0": [],
-        "placebo did exit 0": [],
+        "import fewclusters.cli": placebo,
+        "placebo ols exit 0": placebo,
+        "placebo did exit 0": placebo,
+        "simulate exit 0": sorted(
+            [*placebo, "fewclusters.dgp", "fewclusters.harness", "fewclusters.streams"]
+        ),
     }
+    assert (tmp_path / "out" / "rejection_table.csv").exists()
+
+
+PUBLIC_NAMES = [
+    "Cluster", "ClusterDataset", "ClusterLayout", "EstimateVector", "ExperimentSpec",
+    "FitResult", "LinearDesign", "PooledFit", "ProbitDesign", "RejectionTable", "TestConfig",
+    "TestResult", "bch_t_test", "circular_ma", "crs_sign_test", "emit_csv", "emit_svg",
+    "estimate_all", "gen_linear", "gen_probit", "im_t_test", "ols_intercept", "p_value",
+    "pair_clusters", "permutation_quantile", "pooled_ols_crve", "probit_z_estimate",
+    "randomized_threshold", "run_experiment", "run_placebo_test", "validate_dataset",
+    "wild_cluster_bootstrap_test",
+]
+
+
+def test_public_names_resolve():
+    # each name of __all__ resolves from its module on first access, dir()
+    # lists it and a star import binds it; gen_did_panel is a test fixture now
+    assert fewclusters.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from fewclusters import *", namespace)
+    for name in fewclusters.__all__:
+        value = getattr(fewclusters, name)
+        module = importlib.import_module(f"fewclusters.{fewclusters._MODULES[name]}")
+        assert value is getattr(module, name) and namespace[name] is value, name
+        assert name in dir(fewclusters)
+    assert "gen_did_panel" not in fewclusters.__all__
+    with pytest.raises(AttributeError, match="'fewclusters' has no attribute 'gen_did_panel'"):
+        fewclusters.gen_did_panel
 
 
 @pytest.mark.parametrize(

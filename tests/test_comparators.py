@@ -31,7 +31,7 @@ from fewclusters.comparators import (
 )
 from fewclusters.dgp import LinearDesign, gen_linear
 from fewclusters.estimators import stacked_design
-from fewclusters.methods import TABLE, Inputs, Setting, stream
+from fewclusters.methods import TABLE, Inputs, Setting
 from fewclusters.model import (
     Cluster,
     ClusterLayout,
@@ -42,6 +42,7 @@ from fewclusters.model import (
     UnbalancedGroups,
     validate_dataset,
 )
+from fewclusters.streams import stream
 from scalar_reference import Assignment, comparison_of_means, two_sample_variance
 
 

@@ -1,19 +1,61 @@
 """Tests for the synthetic data generators and the circular moving average."""
 
+import dataclasses
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from fewclusters.dgp import (
     LinearDesign,
     ProbitDesign,
+    _children,
+    _ids,
     circular_ma,
-    gen_did_panel,
     gen_linear,
     gen_probit,
     generate,
 )
 from fewclusters.estimators import estimate_all
-from fewclusters.model import HOutOfRange
+from fewclusters.harness import _apply_sweep, spec_from_dict
+from fewclusters.model import ClusterDataset, ClusterLayout, HOutOfRange
+from fewclusters.streams import spawn_generators
+
+
+def gen_did_panel(
+    q1: int,
+    q0: int,
+    periods: int,
+    t0: int,
+    beta: float,
+    seed,
+    theta0: float = 0.0,
+    fe_scale: float = 1.0,
+    noise_scale: float = 1.0,
+) -> ClusterDataset:
+    """Synthetic panel for the post-period slope estimator.
+
+    Each cluster is one unit observed over ``periods`` time points; the
+    outcome is theta0*post + beta*post*treated + fixed effect + noise, with
+    post = 1 for t > t0 (1-based periods). Cluster k draws from child k of
+    the seed, an int or a SeedSequence, which is only read.
+    """
+    q = q1 + q0
+    rngs = _children(seed, q)
+    post = np.tile((np.arange(1, periods + 1) > t0).astype(float), q)
+    outcomes = np.empty(q * periods)
+    for k, rng in enumerate(rngs):
+        rows = slice(k * periods, (k + 1) * periods)
+        fe = fe_scale * rng.standard_normal()
+        outcomes[rows] = (
+            theta0 * post[rows]
+            + beta * post[rows] * float(k < q1)
+            + fe
+            + noise_scale * rng.standard_normal(periods)
+        )
+    offsets = np.arange(q + 1) * periods
+    return ClusterDataset(_ids(q), ClusterLayout(q1, q0), offsets, outcomes, post=post)
 
 
 def ma_autocov(sigma2, h, lag):
@@ -403,3 +445,37 @@ class TestGenDidPanel:
         for c, slope in zip(ds.clusters, slopes):
             expected = 2.5 if c.treated else 0.5
             assert slope == pytest.approx(expected, abs=1e-12)
+
+
+CONFIGS = sorted(
+    p.name
+    for p in (resources.files("fewclusters") / "configs").iterdir()
+    if p.name.endswith(".json")
+)
+
+
+class TestTrustedColumns:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_generated_datasets_equal_checked_ones(self, config):
+        # generate hands its own columns to ClusterDataset.trusted, unchecked:
+        # ClusterDataset built from writable copies of them, which it checks
+        # and copies, must have every field equal, arrays byte for byte and
+        # read-only, at the first and last point of each shipped sweep
+        text = (resources.files("fewclusters") / "configs" / config).read_text()
+        spec = spec_from_dict(json.loads(text))
+        for value in (spec.sweep_values[0], spec.sweep_values[-1]):
+            design = _apply_sweep(spec.design, spec.sweep_param, value)
+            q = design.q1 + design.q0
+            rngs = [spawn_generators(np.random.SeedSequence(seed), q) for seed in range(3)]
+            for dataset in generate(design, rngs):
+                columns = [dataset.offsets, dataset.outcomes, dataset.covariates]
+                checked = ClusterDataset(
+                    list(dataset.ids), dataset.layout, *(c.copy() for c in columns)
+                )
+                for field in dataclasses.fields(ClusterDataset):
+                    ours, theirs = getattr(dataset, field.name), getattr(checked, field.name)
+                    if isinstance(theirs, np.ndarray):
+                        assert not ours.flags.writeable and ours.flags.c_contiguous
+                        assert bits(ours) == bits(theirs), (config, value, field.name)
+                    else:
+                        assert type(ours) is type(theirs) and ours == theirs, field.name

@@ -190,12 +190,20 @@ class TestStreamedEnumeration:
                     for stats in results[1:]:
                         np.testing.assert_array_equal(stats, results[0])
 
-    def test_fused_blocks_keep_order_and_size(self):
-        blocks = [(np.arange(i, i + size, dtype=float),) for i, size in
-                  zip(itertools.accumulate([0, 3, 5, 2, 7, 1]), [3, 5, 2, 7, 1, 4])]
-        fused = list(engine._fused(blocks, rows=8))
-        assert [b[0].shape[0] for b in fused] == [8, 2, 8, 4]
-        np.testing.assert_array_equal(np.concatenate([b[0] for b in fused]), np.arange(22.0))
+    @pytest.mark.parametrize("rows, sizes", [(100, [78, 66, 220]), (144, [144, 220])])
+    def test_enumerated_blocks_fill_up_to_fuse_rows(self, monkeypatch, rows, sizes):
+        # q = 14, q1 = 3: the prefixes 11, 10, 01 and 00 of two clusters lead
+        # suffix blocks of C(12, 1) = 12, 66, 66 and C(12, 3) = 220 rows; a
+        # block takes the next prefix while it stays within FUSE_ROWS, and a
+        # longer prefix block passes alone
+        monkeypatch.setattr(engine, "FUSE_ROWS", rows)
+        v = 2.0 ** np.arange(13, -1, -1)
+        blocks = list(engine._enumerated_sums((v[None],), 3))
+        assert [b[0].shape for b in blocks] == [(1, size) for size in sizes]
+        ref = reference_mask(enumerate_assignments(ClusterLayout(3, 11)), 14)
+        np.testing.assert_array_equal(
+            np.concatenate([b[0][0] for b in blocks]), ref.astype(np.int64) @ v.astype(np.int64)
+        )
 
     def test_bit_rows_match_product(self):
         for n in range(1, 9):
@@ -257,6 +265,20 @@ class TestStreamedEnumeration:
         assert res.n_assignments == 2_704_156
         assert peak < 128 * 2**20
 
+    def test_memory_bounded_with_long_prefixes(self):
+        # 57 of 60 clusters treated: 18,473 prefixes of 45 to 48 clusters
+        # before the suffix, whose indices and gathered sums held at once
+        # took 50 MiB, for 0.8 MiB of statistics
+        vecs = [vec(r, q1=57) for r in np.random.default_rng(59).normal(size=(3, 60))]
+        tracemalloc.start()
+        try:
+            stats = engine.placebo_distributions(vecs, TestConfig(), [None] * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.shape == (3, math.comb(60, 3))
+        assert peak < 8 * 2**20
+
     def test_subsampled_rows_match_draws(self):
         layout = ClusterLayout(4, 5)
         x = vec(np.random.default_rng(43).normal(size=9), q1=4)
@@ -301,13 +323,18 @@ class TestStreamedEnumeration:
 
 
 class TestGroupBitwise:
-    @pytest.mark.parametrize("q1, q0", [(7, 7), (9, 6), (10, 10)])
+    # q = 13..22: a prefix of one to ten clusters before the suffix
+    @pytest.mark.parametrize(
+        "q1, q0",
+        [(7, 6), (7, 7), (9, 6), (8, 8), (9, 8), (9, 9), (10, 9), (10, 10), (6, 15), (16, 6)],
+    )
     @pytest.mark.parametrize("adjustment", ["adjusted", "unadjusted"])
     @pytest.mark.parametrize("m", [None, 40])
     def test_group_past_the_suffix_is_each_vector_alone(self, q1, q0, adjustment, m):
-        # past 12 clusters a prefix is summed over the gathered entries of
-        # every row at once; at 10+10 a prefix has eight ones, where numpy
-        # sums a row laid out by column differently from the row alone
+        # past 12 clusters the prefixes with j ones are summed over the
+        # gathered entries of every row at once; at 10+10 a prefix has up to
+        # eight ones, where numpy sums a row laid out by column differently
+        # from the row alone
         layout = ClusterLayout(q1, q0)
         rng = np.random.default_rng(59)
         xs = [EstimateVector(v, layout) for v in rng.normal(size=(16, q1 + q0))]
@@ -316,6 +343,39 @@ class TestGroupBitwise:
         for j, x in enumerate(xs):
             alone = engine.placebo_distributions([x], cfg, [j])[0]
             assert group[j].tobytes() == alone.tobytes(), j
+
+
+def sorted_decision(stats: np.ndarray, alpha: float):
+    """one_sided_greater by a full sort of each row: c read off the sorted
+    row, and the counts taken on it."""
+    n = stats.shape[-1]
+    values = np.sort(stats, axis=-1)
+    c = values[..., n - math.floor(n * alpha) - 1]
+    n_greater = (values > c[..., None]).sum(axis=-1)
+    n_equal = (values == c[..., None]).sum(axis=-1)
+    observed = stats[..., 0]
+    return c, (n * alpha - n_greater) / n_equal, p_value(observed, stats), observed > c
+
+
+class TestDecisionRule:
+    @pytest.mark.parametrize("g", [1, 3, 16])
+    def test_partition_matches_the_sort(self, g):
+        # c from a partition, counts on the unsorted row: the same critical
+        # value, tie-splitting probability, p-value and decision as a sort,
+        # with ties, infinities and rows of one to 400 statistics
+        rng = np.random.default_rng(61 + g)
+        for n in (1, 2, 5, 20, 21, 400):
+            for kind in ("normal", "tied", "infinite"):
+                rows = rng.normal(size=(g, n))
+                if kind != "normal":
+                    rows = rng.integers(-2, 3, size=(g, n)).astype(float)
+                if kind == "infinite":
+                    rows[rng.random((g, n)) < 0.2] = np.inf
+                    rows[rng.random((g, n)) < 0.2] = -np.inf
+                for alpha in (0.01, 0.05, 0.1, 0.25, 0.5, 0.9):
+                    got = engine.one_sided_greater(rows, alpha)
+                    for ours, ref in zip(got, sorted_decision(rows, alpha)):
+                        np.testing.assert_array_equal(ours, ref)
 
 
 class TestQuantile:

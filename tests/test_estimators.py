@@ -21,16 +21,11 @@ from fewclusters.comparators import (
 )
 from fewclusters.dgp import LinearDesign, ProbitDesign, gen_linear, gen_probit
 from fewclusters.estimators import (
-    MAX_NEWTON_ITER,
-    MOMENT_TOL,
     estimate_all,
     estimate_many,
     fit_groups,
     least_squares,
     ols_intercept,
-    probit_moment,
-    probit_moment_jacobian,
-    probit_newton_batch,
     probit_z_estimate,
     stacked_design,
 )
@@ -43,6 +38,13 @@ from fewclusters.model import (
     RankDeficient,
     Separation,
     validate_dataset,
+)
+from fewclusters.probit import (
+    MAX_NEWTON_ITER,
+    MOMENT_TOL,
+    probit_moment,
+    probit_moment_jacobian,
+    probit_newton_batch,
 )
 
 

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: seeding, determinism, outputs."""
 
+import concurrent.futures
 import dataclasses
 import json
 import xml.etree.ElementTree as ET
@@ -22,15 +23,14 @@ from fewclusters.harness import (
     run_experiment,
     spec_from_dict,
 )
-from fewclusters.methods import (
-    STREAMS, TABLE, Inputs, Method, generator, group_streams, stream,
-)
+from fewclusters.methods import TABLE, Inputs, Method
 from fewclusters.model import (
     EstimationError,
     FewClustersError,
     MethodInapplicable,
     TooManyAssignments,
 )
+from fewclusters.streams import STREAMS, generator, group_streams, stream
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -342,12 +342,13 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         pools = []
 
-        class CountedPool(harness.ProcessPoolExecutor):
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        # run_experiment imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         spec = fast_spec(
             methods=("placebo", "im", "bch_t"),
             sweep_values=(0.0, 0.5, 1.0),
@@ -378,7 +379,7 @@ class TestRunExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         spec = fast_spec(methods=("placebo", "im"), sweep_values=(0.0, 1.0), replications=40)
         assert run_experiment(spec, workers=10**6) == run_experiment(spec)
