@@ -15,8 +15,8 @@ arrays, row by row, so each dataset's result has the bits it has alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .model import (
     GroupTooSmall,
     RankDeficient,
     TestResult,
-    TooManyAssignments,
     UnbalancedGroups,
     each,
     unwrap,
@@ -171,80 +170,74 @@ def crs_sign_test(
     nonrandomized decision uses the ascending-quantile rule; the randomized
     variant draws one uniform against the tie-splitting test function.
     """
-    values = sign_flip_statistics(beta_hats)[None]
-    return sign_flip_tests(values, alpha, randomized, [seed])[0]
-
-
-@cache
-def _signs(pairs: int) -> np.ndarray:
-    """Every sign vector of ``pairs`` pairs as rows of +-1: all +1 first,
-    the last pair flipping fastest (bit row r set where it keeps a sign)."""
-    signs = np.where(engine.bit_rows(pairs), 1.0, -1.0)
-    signs.flags.writeable = False
-    return signs
-
-
-def check_sign_table(pairs: int) -> None:
-    """Raises TooManyAssignments when the table of all 2**pairs sign vectors
-    would hold more than ``engine.ENUMERATION_CAP`` signs: from 20 pairs on."""
-    if 2**pairs * pairs > engine.ENUMERATION_CAP:
-        raise TooManyAssignments(
-            f"all 2**{pairs} sign vectors of {pairs} pairs, {2**pairs * pairs} signs, "
-            f"exceed the cap of {engine.ENUMERATION_CAP}"
-        )
+    result = sign_flip_tests([beta_hats], alpha)[0]
+    return randomized_sign_test(result, seed) if randomized else result
 
 
 def sign_flip_statistics(beta_hats) -> np.ndarray:
     """The matched-pair statistic under every sign vector, identity first,
-    of each row of ``beta_hats`` (..., pairs): shape (..., 2**pairs), each
-    row's arithmetic along its own row, in runs of rows of at most
-    ``engine.GROUP_CELLS`` signs (at least one row)."""
+    of each row of ``beta_hats`` (..., pairs): shape (..., 2**pairs). The
+    sign vectors are ``engine.bit_rows``, a set bit keeping a sign, taken a
+    row range at a time so that a block of flipped estimates holds at most
+    ``engine.GROUP_CELLS`` values (at least one vector). A statistic's
+    arithmetic runs along its own row, so the blocks do not change its bits.
+    """
     b = np.asarray(beta_hats, dtype=float)
     pairs = b.shape[-1]
     if pairs < 2:
         raise FewClustersError("sign test needs at least two pair estimates")
-    check_sign_table(pairs)
-    signs = _signs(pairs)
-    rows = b.reshape(-1, pairs)
-    stats = np.empty((rows.shape[0], signs.shape[0]))
-    step = max(1, engine.GROUP_CELLS // signs.size)
-    for start in range(0, rows.shape[0], step):
-        flipped = signs * rows[start : start + step, None, :]
+    n = engine.sign_flip_count(pairs)
+    rows = b.reshape(-1, 1, pairs)
+    stats = np.empty((rows.shape[0], n))
+    step = max(1, engine.GROUP_CELLS // rows.size)
+    for start in range(0, n, step):
+        flipped = np.where(engine.bit_rows(pairs, start, min(start + step, n)), rows, -rows)
         means = flipped.mean(axis=-1)
-        denom = np.sqrt(np.sum((flipped - means[..., None]) ** 2, axis=-1))
-        stats[start : start + step] = _signed_ratio(means, denom)
-    return stats.reshape(b.shape[:-1] + stats.shape[-1:])
+        flipped -= means[..., None]
+        denom = np.sqrt(np.sum(np.square(flipped, out=flipped), axis=-1))
+        stats[:, start : start + step] = _signed_ratio(means, denom)
+        del flipped  # before the next block is built
+    return stats.reshape(b.shape[:-1] + (n,))
 
 
-def sign_flip_tests(
-    values: np.ndarray, alpha: float, randomized: bool, seeds: Sequence
-) -> list[TestResult]:
-    """:func:`crs_sign_test` on each row of the sign-flip distributions
-    ``values`` (g, 2**pairs), decided row by row; the randomized test
-    rejects when its test function reaches a uniform draw from the row's
-    entry of ``seeds``."""
-    c, delta, p, reject = engine.one_sided_greater(values, alpha)
-    observed = values[:, 0]
-    if randomized:
-        u = np.array([np.random.default_rng(seed).uniform() for seed in seeds])
-        phi = np.where(reject, 1.0, np.where(observed == c, delta, 0.0))
-        reject = phi >= u
-    n = values.shape[1]
-    warnings = () if randomized else engine.zero_power(n, alpha)
-    return [
-        TestResult(
-            statistic=observed_j,
-            critical_value=c_j,
-            p_value=p_j,
-            reject=reject_j,
-            n_assignments=n,
-            randomized_threshold=delta_j,
-            warnings=warnings,
-        )
-        for observed_j, c_j, p_j, reject_j, delta_j in zip(
-            observed.tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
-        )
-    ]
+def sign_flip_tests(beta_hats, alpha: float) -> list[TestResult]:
+    """The nonrandomized :func:`crs_sign_test` of each row of ``beta_hats``
+    (g, pairs): each run of rows of at most ``engine.GROUP_CELLS``
+    statistics (at least one row) is decided row by row as soon as it is
+    built, so a group's memory does not grow with the group."""
+    b = np.asarray(beta_hats, dtype=float)
+    n = engine.sign_flip_count(b.shape[1])
+    warnings = engine.zero_power(n, alpha)
+    step = max(1, engine.GROUP_CELLS // n)
+    results = []
+    for start in range(0, b.shape[0], step):
+        values = sign_flip_statistics(b[start : start + step])
+        c, delta, p, reject = engine.one_sided_greater(values, alpha)
+        results += [
+            TestResult(
+                statistic=observed_j,
+                critical_value=c_j,
+                p_value=p_j,
+                reject=reject_j,
+                n_assignments=n,
+                randomized_threshold=delta_j,
+                warnings=warnings,
+            )
+            for observed_j, c_j, p_j, reject_j, delta_j in zip(
+                values[:, 0].tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
+            )
+        ]
+        del values, c  # c views a partitioned copy: both go before the next run
+    return results
+
+
+def randomized_sign_test(result: TestResult, seed) -> TestResult:
+    """The randomized test from the nonrandomized ``result``: it rejects when
+    its test function, 1 above the critical value c, the tie-splitting
+    probability at c and 0 below, reaches a uniform draw from ``seed``."""
+    at_c = result.randomized_threshold if result.statistic == result.critical_value else 0.0
+    u = np.random.default_rng(seed).uniform()
+    return replace(result, reject=result.reject or at_c >= u, warnings=())
 
 
 def crve_dof_factor(n: int, d: int, q: int) -> float:

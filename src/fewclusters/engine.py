@@ -50,9 +50,9 @@ DRAW_ROWS = 1 << 14
 # block hold at most this many cluster indices, too.
 FUSE_ROWS = 1 << 14
 
-# A group's placebo statistics are held at most this many at once: the group
-# is tested in runs of rows of at most this many statistics (at least one
-# row), so its memory does not grow with the group.
+# A group's placebo or sign-flip statistics, or a block of flipped pair
+# estimates, are held at most this many at once (at least one row), so
+# their memory does not grow with the group or the number of sign vectors.
 GROUP_CELLS = 1 << 20
 
 # (v,) for the unadjusted statistic and (v, v * v) for the adjusted one, or
@@ -65,15 +65,17 @@ ZERO_POWER_WARNING = (
 )
 
 
-def bit_rows(n: int) -> np.ndarray:
-    """All 2**n rows of n bits as bools, column 0 the top bit, descending.
+def bit_rows(n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """Rows start to stop - 1 (by default all 2**n) of the rows of n bits as
+    bools, column 0 the top bit, descending.
 
     Row r holds the bits of the integer 2**n - 1 - r, so the all-ones row
     comes first and the all-zeros row last.
     """
+    stop = 2**n if stop is None else stop
     # the narrowest integer type keeps the n-fold temporary small
     dtype = np.min_scalar_type(2**n - 1)
-    bits = np.arange(2**n - 1, -1, -1, dtype=dtype)[:, None] >> np.arange(
+    bits = np.arange(2**n - 1 - start, 2**n - 1 - stop, -1, dtype=dtype)[:, None] >> np.arange(
         n - 1, -1, -1, dtype=dtype
     )
     bits &= 1
@@ -328,17 +330,28 @@ def zero_power(n: int, alpha: float) -> tuple[str, ...]:
     return (ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else ()
 
 
+def capped(count: int, what: str) -> int:
+    """``count`` of ``what``: placebo assignments, sign vectors or bootstrap
+    weights. Raises TooManyAssignments when it exceeds ENUMERATION_CAP."""
+    if count > ENUMERATION_CAP:
+        raise TooManyAssignments(f"{what} exceed the cap of {ENUMERATION_CAP}")
+    return count
+
+
+def sign_flip_count(pairs: int) -> int:
+    """2**pairs, the number of sign vectors of ``pairs`` pairs, capped."""
+    return capped(2**pairs, f"all 2**{pairs} = {2**pairs} sign vectors of {pairs} pairs")
+
+
 def checked_count(q: int, q1: int, max_assignments: Optional[int] = None) -> int:
     """C(q, q1), the number of placebo assignments. Raises TooManyAssignments
     when the test would evaluate more than ENUMERATION_CAP of them: all
     C(q, q1), or ``max_assignments`` draws when that is fewer."""
     total = math.comb(q, q1)
-    drawn = max_assignments is not None and max_assignments < total
-    if (max_assignments if drawn else total) > ENUMERATION_CAP:
-        what = f"{max_assignments} drawn" if drawn else f"all C({q}, {q1}) = {total}"
-        raise TooManyAssignments(
-            f"{what} placebo assignments exceed the cap of {ENUMERATION_CAP}"
-        )
+    if max_assignments is not None and max_assignments < total:
+        capped(max_assignments, f"{max_assignments} drawn placebo assignments")
+    else:
+        capped(total, f"all C({q}, {q1}) = {total} placebo assignments")
     return total
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .dgp import LinearDesign, ProbitDesign, generate
+from .engine import capped
 from .methods import TABLE, Inputs, Setting
 from .model import FewClustersError, TooManyAssignments
 from .streams import group_streams
@@ -78,6 +79,9 @@ class ExperimentSpec:
             try:
                 for method in self.methods:
                     TABLE[method].check(setting)
+                if "wild_bootstrap" in self.methods:  # a weight per cluster and draw
+                    q, reps = setting.q1 + setting.q0, self.bootstrap_reps
+                    capped(q * reps, f"{q} clusters x {reps} bootstrap_reps = {q * reps} weights")
             except TooManyAssignments as exc:
                 at = f"sweep.values: at {self.sweep_param} = {value:g}"
                 raise TooManyAssignments(f"{at}, {exc}") from None

@@ -13,7 +13,7 @@ entry. The entries and ``Inputs`` members that call ``comparators`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -97,11 +97,12 @@ class Inputs:
         return comparators.pair_betas(self.datasets, pairs, probit)
 
     @cached_property
-    def sign_flips(self) -> list[np.ndarray | FewClustersError]:
-        """Each dataset's sign-flip distribution, all of them one array."""
+    def sign_flips(self) -> list[TestResult | FewClustersError]:
+        """Each dataset's nonrandomized sign-change test, the group's tested
+        at once: ``crs`` reports it, and ``crs_randomized`` randomizes it."""
         from . import comparators
 
-        return batch(lambda betas: comparators.sign_flip_statistics(np.stack(betas)), self.pair_betas)
+        return batch(partial(comparators.sign_flip_tests, alpha=self.alpha), self.pair_betas)
 
     @cached_property
     def regression(self) -> list[comparators.PooledRegression | FewClustersError]:
@@ -142,9 +143,7 @@ def _placebo_cap(s: Setting) -> None:
 
 
 def _sign_cap(s: Setting) -> None:
-    from . import comparators
-
-    comparators.check_sign_table(s.q1)
+    engine.sign_flip_count(s.q1)
 
 
 @dataclass(frozen=True)
@@ -178,14 +177,10 @@ def _im(i: Inputs) -> list:
     return batch(lambda v: comparators.im_t_tests(v, i.alpha, i.setting.side), i.estimates)
 
 
-def _crs(i: Inputs, randomized: bool = False) -> list:
+def _crs_randomized(i: Inputs) -> list:
     from . import comparators
 
-    rngs = i.rngs("crs_u") if randomized else [None] * len(i.datasets)
-    return batch(
-        lambda stats, rngs: comparators.sign_flip_tests(np.stack(stats), i.alpha, randomized, rngs),
-        i.sign_flips, rngs,
-    )
+    return each(comparators.randomized_sign_test, i.sign_flips, i.rngs("crs_u"))
 
 
 def _wild_bootstrap(i: Inputs) -> list:
@@ -224,8 +219,8 @@ TABLE: dict[str, Method] = {
         Method("placebo", _placebo, (_adjusted_two_per_group, _placebo_cap)),
         Method("placebo_unadjusted", lambda i: _placebo(i, "unadjusted"), (_placebo_cap,)),
         Method("im", _im, (_two_per_group,)),
-        Method("crs", _crs, _PAIRED),
-        Method("crs_randomized", lambda i: _crs(i, randomized=True), _PAIRED),
+        Method("crs", lambda i: i.sign_flips, _PAIRED),
+        Method("crs_randomized", _crs_randomized, _PAIRED),
         Method("wild_bootstrap", _wild_bootstrap, _OLS),
         Method("bch_t", _bch_t, _OLS),
         Method("oracle", _oracle, (_greater_only,)),

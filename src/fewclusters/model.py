@@ -55,7 +55,7 @@ class GroupTooSmall(FewClustersError):
 
 
 class TooManyAssignments(FewClustersError):
-    """The placebo test would evaluate more assignments than its cap."""
+    """A test would hold more assignments, sign vectors or weights than the cap."""
 
 
 class RankDeficient(FewClustersError):

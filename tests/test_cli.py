@@ -296,17 +296,18 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("method", ["crs", "crs_randomized"])
     def test_sign_flips_above_the_cap_exit_code(self, tmp_path, capsys, monkeypatch, method):
-        # 2**4 * 4 = 64 signs fit under a cap of 100 and 2**5 * 5 = 160 do
-        # not, which is refused before any pair is matched or fitted
+        # the cap counts statistics, as for placebo assignments: 2**6 = 64
+        # sign vectors fit under a cap of 100 and 2**7 = 128 do not, which
+        # is refused before any pair is matched or fitted
         monkeypatch.setattr(engine, "ENUMERATION_CAP", 100)
         argv = ["test", "--method", method, "--input"]
-        code, report = self.run(capsys, *argv, str(write_csv(tmp_path / "a.csv", n_clusters=8)))
-        assert (code, report["n_assignments"]) == (EXIT_OK, 16)
+        code, report = self.run(capsys, *argv, str(write_csv(tmp_path / "a.csv", n_clusters=12)))
+        assert (code, report["n_assignments"]) == (EXIT_OK, 64)
         monkeypatch.setattr(comparators, "pair_clusters", self.no_fit)
-        csv_path = write_csv(tmp_path / "b.csv", n_clusters=10)
+        csv_path = write_csv(tmp_path / "b.csv", n_clusters=14)
         assert main([*argv, str(csv_path)]) == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert err == "error: all 2**5 sign vectors of 5 pairs, 160 signs, exceed the cap of 100\n"
+        assert err == "error: all 2**7 = 128 sign vectors of 7 pairs exceed the cap of 100\n"
 
     @staticmethod
     def no_fit(*args, **kwargs):
@@ -632,6 +633,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_DATA_ERROR
         assert err.startswith("error: ") and str(out / output) in err
+
+    def test_bootstrap_reps_above_the_cap_exit_code(self, tmp_path, capsys):
+        # 10**13 draws of 6 weights each ended in a numpy memory error and
+        # exit 1; they are refused at every sweep point before any replication
+        config = tmp_path / "config.json"
+        spec = {**self.CONFIG, "methods": ["wild_bootstrap"], "bootstrap_reps": 10**13}
+        config.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            "error: sweep.values: at beta = 0, 6 clusters x 10000000000000 bootstrap_reps "
+            "= 60000000000000 weights exceed the cap of 10000000\n"
+        )
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path):
         code = main(

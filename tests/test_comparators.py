@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
-from fewclusters import comparators
+from fewclusters import comparators, engine
 from fewclusters.comparators import (
     WEBB_POINTS,
     bch_t_test,
@@ -190,15 +190,43 @@ class TestCrsSignTest:
         expected = b.mean() / math.sqrt(np.sum((b - b.mean()) ** 2))
         assert values[0] == pytest.approx(expected)
 
-    def test_sign_vectors_in_product_order(self):
-        # reference: the sign vectors of itertools.product, all +1 first
+    def test_sign_vectors_in_product_order(self, monkeypatch):
+        # reference: the sign vectors of itertools.product, all +1 first, on
+        # each row alone; groups of 1, 3 and 16 rows with tied and zero
+        # entries, and at 64 cells, blocks of signs that split inside a
+        # row's vectors and runs that split inside the group
         rng = np.random.default_rng(11)
-        for q1 in range(2, 9):
-            b = rng.normal(size=q1)
-            flipped = np.array(list(itertools.product((1.0, -1.0), repeat=q1))) * b
-            means = flipped.mean(axis=1)
-            denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
-            np.testing.assert_array_equal(sign_flip_statistics(b), means / denom)
+        for cells in (engine.GROUP_CELLS, 64):
+            monkeypatch.setattr(engine, "GROUP_CELLS", cells)
+            for pairs in range(2, 13):
+                signs = np.array(list(itertools.product((1.0, -1.0), repeat=pairs)))
+                for g in (1, 3, 16):
+                    b = rng.normal(size=(g, pairs))
+                    b[:, 0] = 0.0
+                    b[1:, -1] = b[1:, 1]
+                    b[2:, -2] = -b[2:, 1]
+                    expected = []
+                    for row in b:
+                        flipped = signs * row
+                        means = flipped.mean(axis=1)
+                        denom = np.sqrt(np.sum((flipped - means[:, None]) ** 2, axis=1))
+                        expected.append(_signed_ratio(means, denom))
+                    np.testing.assert_array_equal(sign_flip_statistics(b), np.array(expected))
+                    tests = comparators.sign_flip_tests(b, 0.05)
+                    assert tests == [crs_sign_test(row, 0.05) for row in b]
+
+    def test_memory_does_not_grow_with_the_sign_vectors(self):
+        # 2**19 statistics of 19 pairs are 4 MiB; a table of every sign
+        # vector would be 80 MiB, and cached, it would outlive the call
+        b = np.random.default_rng(2).normal(size=19)
+        tracemalloc.start()
+        try:
+            crs_sign_test(b, 0.05)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert kept < 2**20
 
     def test_never_rejects_at_three_pairs(self):
         # 2^3 = 8 < 1/alpha at alpha = 0.05: nonrandomized version has no power
@@ -277,7 +305,7 @@ class TestCrsSignTest:
         rule = ("critical_value", "p_value", "randomized_threshold")
         assert [getattr(randomized, k) for k in rule] == [getattr(plain, k) for k in rule]
 
-    def test_both_methods_share_one_distribution(self, monkeypatch):
+    def test_one_sign_flip_computation_serves_both_methods(self, monkeypatch):
         # one sign-flip computation serves both methods over the whole group,
         # and each dataset's results are crs_sign_test's on its own pairs
         datasets = [gen_linear(LinearDesign(q1=5, q0=5, h=2), seed) for seed in (4, 5, 6)]

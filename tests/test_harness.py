@@ -128,11 +128,20 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("method", ["crs", "crs_randomized"])
     def test_sign_table_cap_checked_at_every_sweep_point(self, method):
-        # 2**19 * 19 signs fit under the cap, 2**20 * 20 do not
-        message = r"sweep.values: at q = 40, all 2\*\*20 sign vectors of 20 pairs"
+        # 2**23 sign vectors fit under the cap of 10**7, 2**24 do not
+        message = r"sweep.values: at q = 48, all 2\*\*24 = 16777216 sign vectors of 24 pairs"
         with pytest.raises(TooManyAssignments, match=message):
-            fast_spec(sweep_param="q", sweep_values=(6.0, 38.0, 40.0), methods=("im", method))
-        assert fast_spec(sweep_param="q", sweep_values=(6.0, 38.0), methods=("im", method))
+            fast_spec(sweep_param="q", sweep_values=(6.0, 46.0, 48.0), methods=("im", method))
+        assert fast_spec(sweep_param="q", sweep_values=(6.0, 46.0), methods=("im", method))
+
+    def test_bootstrap_weight_cap_checked_at_every_sweep_point(self):
+        # a weight per cluster and draw: 12 x 833,333 fit under the cap, 14 x 833,333 do not
+        message = r"sweep.values: at q = 14, 14 clusters x 833333 bootstrap_reps"
+        sweep = {"sweep_param": "q", "sweep_values": (6.0, 12.0, 14.0), "bootstrap_reps": 833_333}
+        with pytest.raises(TooManyAssignments, match=message):
+            fast_spec(**sweep, methods=("im", "wild_bootstrap"))
+        assert fast_spec(**sweep, methods=("im",))
+        assert fast_spec(**{**sweep, "sweep_values": (6.0, 12.0)}, methods=("wild_bootstrap",))
 
 
 class TestSeeding:
