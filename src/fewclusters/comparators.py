@@ -6,8 +6,8 @@ cluster-robust variance estimator (CRVE), the t(q-1) test based on it, and
 the wild cluster bootstrap with 6-point weights and the null imposed. Their
 designs come from ``estimators.stacked_design``, which reads a dataset's
 rows through its offsets, and their fits from the estimators' one fit path
-and its rank rule. The sign-change test decides, and warns of zero power,
-by the placebo test's rule: ``engine.one_sided_greater`` and ``zero_power``.
+and its rank rule. The sign-change test is run, decided and warned of zero
+power by the placebo test's run loop, ``engine.decided``.
 The t tests and the sign-change test run over a replication group as
 arrays, row by row, so each dataset's result has the bits it has alone.
 """
@@ -202,33 +202,11 @@ def sign_flip_statistics(beta_hats) -> np.ndarray:
 
 def sign_flip_tests(beta_hats, alpha: float) -> list[TestResult]:
     """The nonrandomized :func:`crs_sign_test` of each row of ``beta_hats``
-    (g, pairs): each run of rows of at most ``engine.GROUP_CELLS``
-    statistics (at least one row) is decided row by row as soon as it is
-    built, so a group's memory does not grow with the group."""
+    (g, pairs): the rows' :func:`sign_flip_statistics`, ``engine.decided``
+    in runs, so a group's memory does not grow with the group."""
     b = np.asarray(beta_hats, dtype=float)
     n = engine.sign_flip_count(b.shape[1])
-    warnings = engine.zero_power(n, alpha)
-    step = max(1, engine.GROUP_CELLS // n)
-    results = []
-    for start in range(0, b.shape[0], step):
-        values = sign_flip_statistics(b[start : start + step])
-        c, delta, p, reject = engine.one_sided_greater(values, alpha)
-        results += [
-            TestResult(
-                statistic=observed_j,
-                critical_value=c_j,
-                p_value=p_j,
-                reject=reject_j,
-                n_assignments=n,
-                randomized_threshold=delta_j,
-                warnings=warnings,
-            )
-            for observed_j, c_j, p_j, reject_j, delta_j in zip(
-                values[:, 0].tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
-            )
-        ]
-        del values, c  # c views a partitioned copy: both go before the next run
-    return results
+    return engine.decided(lambda rows: sign_flip_statistics(b[rows]), b.shape[0], n, alpha)
 
 
 def randomized_sign_test(result: TestResult, seed) -> TestResult:

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import ClusterDataset, ClusterLayout, HOutOfRange
-from .streams import spawn_generators
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,15 @@ def _generate(
 
 def _children(seed, count: int) -> list[np.random.Generator]:
     """Generators of children 0..count-1 of the seed, an int or a
-    SeedSequence, which is only read."""
+    SeedSequence, which is only read: child k is the SeedSequence that
+    ``spawn`` makes k-th, however many the seed has spawned."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return spawn_generators(seed, count)
+    entropy, key, size = seed.entropy, seed.spawn_key, seed.pool_size
+    return [
+        np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(*key, k), pool_size=size))
+        for k in range(count)
+    ]
 
 
 def _frozen(*columns: np.ndarray) -> tuple[np.ndarray, ...]:

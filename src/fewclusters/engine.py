@@ -325,11 +325,6 @@ def one_sided_greater(
     return c, delta, p_value(observed, stats), observed > c
 
 
-def zero_power(n: int, alpha: float) -> tuple[str, ...]:
-    """Warnings of a non-randomized test of n draws: none, or zero power."""
-    return (ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else ()
-
-
 def capped(count: int, what: str) -> int:
     """``count`` of ``what``: placebo assignments, sign vectors or bootstrap
     weights. Raises TooManyAssignments when it exceeds ENUMERATION_CAP."""
@@ -403,15 +398,10 @@ def placebo_distributions(
 
 
 def run_placebo_test(x: EstimateVector, cfg: TestConfig) -> TestResult:
-    """Run the full placebo test on a vector of per-cluster estimates.
-
-    One-sided "greater" rejects when the observed statistic exceeds the
-    permutation quantile. "less" runs the greater-sided test on the negated
-    estimates. "two_sided" runs both one-sided tests at alpha/2 and doubles
-    the smaller p-value (capped at 1). The tie-splitting probability of the
-    randomized test is reported but never used for the decision. This is
-    :func:`placebo_tests` on a group of one, drawing from ``cfg.seed``.
-    """
+    """Run the full placebo test on a vector of per-cluster estimates:
+    :func:`placebo_tests` on a group of one, drawing from ``cfg.seed``. The
+    tie-splitting probability of the randomized test is reported but never
+    used for the decision; :func:`decided` gives the rule of each side."""
     return placebo_tests([x], cfg, [cfg.seed])[0]
 
 
@@ -419,27 +409,45 @@ def placebo_tests(
     vectors: Sequence[EstimateVector], cfg: TestConfig, seeds: Sequence
 ) -> list[TestResult]:
     """:func:`run_placebo_test` of each vector of a group, one layout for
-    all, vector j drawing any subsample from ``seeds[j]``, in order.
-
-    The vectors' statistics are one array, decided row by row by
-    :func:`one_sided_greater`, in runs of at most GROUP_CELLS statistics.
-    """
+    all, vector j drawing any subsample from ``seeds[j]``, in order: the
+    vectors' :func:`placebo_distributions`, :func:`decided` in runs."""
     n, _ = _evaluated(vectors[0].layout, cfg)
+    return decided(
+        lambda rows: placebo_distributions(vectors[rows], cfg, seeds[rows]),
+        len(vectors), n, cfg.alpha, cfg.side, cfg.adjustment,
+    )
+
+
+def decided(
+    build: Callable[[slice], np.ndarray], g: int, n: int, alpha: float,
+    side: str = "greater", adjustment: str = "unadjusted",
+) -> list[TestResult]:
+    """The result of the test of each of g rows of n statistics, observed
+    first, ``build(rows)`` giving the statistics of a slice of the rows: the
+    one run loop of the placebo and sign-flip tests.
+
+    Runs of at most GROUP_CELLS statistics (at least one row) are decided
+    row by row by :func:`one_sided_greater`, "greater" rejecting above the
+    permutation quantile c. "less" decides the negated run and reports -c,
+    so that it rejects below it; "two_sided" decides both sides at alpha/2,
+    reports the "greater" c and doubles the smaller p-value (capped at 1).
+    A run is dropped, with the partitioned copy its c views, before the
+    next is built.
+    """
+    alpha = alpha / 2.0 if side == "two_sided" else alpha
+    warnings = (ZERO_POWER_WARNING,) if math.floor(n * alpha) == 0 else ()
     step = max(1, GROUP_CELLS // n)
     results = []
-    for start in range(0, len(vectors), step):
-        rows = slice(start, start + step)
-        stats = placebo_distributions(vectors[rows], cfg, seeds[rows])
-        if cfg.side == "two_sided":
-            alpha = cfg.alpha / 2.0
+    for start in range(0, g, step):
+        stats = build(slice(start, start + step))
+        if side == "two_sided":
             c, delta, p_plus, rej_plus = one_sided_greater(stats, alpha)
             _, _, p_minus, rej_minus = one_sided_greater(-stats, alpha)
             p, reject = np.minimum(1.0, 2.0 * np.minimum(p_plus, p_minus)), rej_plus | rej_minus
         else:
-            alpha = cfg.alpha
-            signed = stats if cfg.side == "greater" else -stats
-            c, delta, p, reject = one_sided_greater(signed, alpha)
-        warnings = zero_power(n, alpha)
+            c, delta, p, reject = one_sided_greater(stats if side == "greater" else -stats, alpha)
+            if side == "less":
+                c = -c
         results += [
             TestResult(
                 statistic=observed,
@@ -447,8 +455,8 @@ def placebo_tests(
                 p_value=p_j,
                 reject=reject_j,
                 n_assignments=n,
-                side=cfg.side,
-                adjustment=cfg.adjustment,
+                side=side,
+                adjustment=adjustment,
                 randomized_threshold=delta_j,
                 warnings=warnings,
             )
@@ -456,4 +464,5 @@ def placebo_tests(
                 stats[:, 0].tolist(), c.tolist(), p.tolist(), reject.tolist(), delta.tolist()
             )
         ]
+        del stats, c  # c may view a partitioned copy: both go before the next run
     return results

@@ -43,17 +43,6 @@ def group_streams(
     return [list(map(generator, w[:clusters])) for w in words], words[:, clusters:]
 
 
-def spawn_generators(seed: np.random.SeedSequence, count: int) -> list[np.random.Generator]:
-    """``default_rng`` of children 0..count-1 of ``seed``, however many it
-    has spawned: the seed is only read, and its spawn counter does not move."""
-    if seed.pool_size != 4:
-        raise ValueError(f"a stream needs a SeedSequence of pool size 4, got {seed.pool_size}")
-    length = max(4, len(_words(seed.entropy))) + len(_words(seed.spawn_key))
-    constants = _hash_constants(16 + 4 * (length - 4))[0]
-    children = _absorb(seed.pool, np.arange(count, dtype=np.uint32), constants[:5])
-    return list(map(generator, _seed_words(children)))
-
-
 def generator(words: np.ndarray) -> np.random.Generator:
     """The generator that ``default_rng`` makes of a SeedSequence whose
     generate_state(4, np.uint64) gives ``words``."""
@@ -96,7 +85,7 @@ _STATE_CONSTANTS = _powers(_INIT_B, _MULT_B, 0, 9)
 
 
 @functools.lru_cache(maxsize=16)
-def _hash_constants(step: int, rows: int = 1) -> np.ndarray:
+def _hash_constants(step: int, rows: int) -> np.ndarray:
     """The hash constants of two absorbed words, (rows, 9): row i those from
     step + 4 * i on, past i more absorbed words."""
     constants = np.array([_powers(_INIT_A, _MULT_A, step + 4 * i, 9) for i in range(rows)])

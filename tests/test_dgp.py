@@ -20,7 +20,6 @@ from fewclusters.dgp import (
 from fewclusters.estimators import estimate_all
 from fewclusters.harness import _apply_sweep, spec_from_dict
 from fewclusters.model import ClusterDataset, ClusterLayout, HOutOfRange
-from fewclusters.streams import spawn_generators
 
 
 def gen_did_panel(
@@ -397,11 +396,20 @@ class TestReferenceGenerators:
         probit = ProbitDesign(q1=2, q0=2, h=3, size_range=(20, 30))
         assert bits(gen_probit(probit, seed).outcomes) == bits(gen_probit(probit, 5).outcomes)
 
-    def test_pool_size_other_than_four_raises(self):
-        for pool_size in (5, 8):
-            seed = np.random.SeedSequence(5, pool_size=pool_size)
-            with pytest.raises(ValueError, match=f"pool size 4, got {pool_size}"):
-                gen_linear(LinearDesign(), seed)
+    def test_pool_size_other_than_four_gives_its_spawned_children(self):
+        # a seed of any pool size gives the children its spawn makes, and
+        # is only read, after spawns of its own too
+        design = LinearDesign(q1=3, q0=2, h=4)
+        for entropy in range(5):
+            for pool_size in (4, 5, 8):
+                seed = np.random.SeedSequence(entropy, pool_size=pool_size)
+                seed.spawn(3)
+                spawned = np.random.SeedSequence(entropy, pool_size=pool_size).spawn(5)
+                expected = generate(design, [list(map(np.random.default_rng, spawned))])[0]
+                states = [r.bit_generator.state for r in _children(seed, 5)]
+                assert states == [np.random.default_rng(c).bit_generator.state for c in spawned]
+                assert bits(gen_linear(design, seed).outcomes) == bits(expected.outcomes)
+                assert seed.n_children_spawned == 3
 
     def test_generate_takes_one_generator_per_cluster(self):
         design = LinearDesign(q1=2, q0=2, h=3)
@@ -466,7 +474,7 @@ class TestTrustedColumns:
         for value in (spec.sweep_values[0], spec.sweep_values[-1]):
             design = _apply_sweep(spec.design, spec.sweep_param, value)
             q = design.q1 + design.q0
-            rngs = [spawn_generators(np.random.SeedSequence(seed), q) for seed in range(3)]
+            rngs = [_children(np.random.SeedSequence(seed), q) for seed in range(3)]
             for dataset in generate(design, rngs):
                 columns = [dataset.offsets, dataset.outcomes, dataset.covariates]
                 checked = ClusterDataset(

@@ -1,5 +1,6 @@
 """Tests for assignment enumeration, quantile/p-value rules, and the test runner."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -344,6 +345,48 @@ class TestGroupBitwise:
             alone = engine.placebo_distributions([x], cfg, [j])[0]
             assert group[j].tobytes() == alone.tobytes(), j
 
+    @pytest.mark.parametrize("g", [1, 3, 16])
+    @pytest.mark.parametrize("side", ["greater", "less", "two_sided"])
+    @pytest.mark.parametrize("adjustment", ["adjusted", "unadjusted"])
+    @pytest.mark.parametrize("m", [None, 40])
+    def test_runs_split_inside_the_group_decide_each_vector_alone(
+        self, monkeypatch, g, side, adjustment, m
+    ):
+        # runs of two rows, so a group of 3 or 16 is built and decided in
+        # runs that split inside it; every field of each result, bit for
+        # bit, is that of the vector tested alone, with tied rows too
+        layout = ClusterLayout(7, 6)
+        rng = np.random.default_rng(67)
+        values = rng.normal(size=(g, 13))
+        values[::2] = np.round(values[::2])
+        xs = [EstimateVector(v, layout) for v in values]
+        cfg = TestConfig(alpha=0.1, side=side, adjustment=adjustment, max_assignments=m)
+        alone = [run_placebo_test(x, dataclasses.replace(cfg, seed=j)) for j, x in enumerate(xs)]
+        n = alone[0].n_assignments
+        assert n == (1716 if m is None else 41)
+        monkeypatch.setattr(engine, "GROUP_CELLS", 2 * n)
+        group = engine.placebo_tests(xs, cfg, list(range(g)))
+        assert len(group) == g
+        for j, (ours, theirs) in enumerate(zip(group, alone)):
+            for field in dataclasses.fields(theirs):
+                a, b = getattr(ours, field.name), getattr(theirs, field.name)
+                assert repr(a) == repr(b), (j, field.name)
+
+    def test_runs_are_dropped_before_the_next_is_built(self):
+        # at 10 + 10 a run holds five rows of 184,756 statistics (7 MiB);
+        # ten vectors take two runs, and holding the first run and its
+        # partitioned copy while the second was built peaked at 27 MiB
+        layout = ClusterLayout(10, 10)
+        xs = [EstimateVector(v, layout) for v in np.random.default_rng(71).normal(size=(10, 20))]
+        tracemalloc.start()
+        try:
+            results = engine.placebo_tests(xs, TestConfig(adjustment="adjusted"), [None] * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.n_assignments for r in results] == [184_756] * 10
+        assert peak < 18 * 2**20
+
 
 def sorted_decision(stats: np.ndarray, alpha: float):
     """one_sided_greater by a full sort of each row: c read off the sorted
@@ -543,6 +586,27 @@ class TestRunPlaceboTest:
             )
             assert res_less.reject == res_greater_neg.reject
             assert res_less.p_value == res_greater_neg.p_value
+
+    @pytest.mark.parametrize("adjustment", ["adjusted", "unadjusted"])
+    def test_critical_value_on_the_scale_of_the_statistic(self, adjustment):
+        # the nonrandomized test rejects when the statistic is above the
+        # critical value ("greater") or below it ("less"); "two_sided"
+        # reports the "greater" side's value and rejects above it too
+        rng = np.random.default_rng(31)
+        decisions = {side: set() for side in ("greater", "less", "two_sided")}
+        for shift in (-1.5, 0.0, 1.5):
+            for _ in range(20):
+                x = vec(rng.normal(size=8) + shift * (np.arange(8) < 4), q1=4)
+                for side, seen in decisions.items():
+                    res = run_placebo_test(x, TestConfig(0.3, side, adjustment))
+                    seen.add(res.reject)
+                    if side == "greater":
+                        assert res.reject == (res.statistic > res.critical_value)
+                    elif side == "less":
+                        assert res.reject == (res.statistic < res.critical_value)
+                    else:
+                        assert res.reject or not res.statistic > res.critical_value
+        assert all(seen == {False, True} for seen in decisions.values())
 
     def test_two_sided_p_value(self):
         rng = np.random.default_rng(17)
